@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", required=True, help="fit JSON from the fit subcommand")
     p.add_argument("--data", required=True)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--budget", type=int, default=10**7, help="enumerated-prefix budget")
+    p.add_argument("--budget", type=int, default=10**7, help="largest enumerated-prefix count allowed per edge (the dataset total is not capped)")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=_cmd_infer)
 

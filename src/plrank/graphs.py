@@ -19,7 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
+from .estimators import apply_estimator_cutoff
+from .likelihood import (
+    _bradley_terry_block,
+    _edge_groups,
+    _expected_pair_weights,
+    _laplacian,
+    _pair_weights,
+)
 from .model import Dataset, Edge, Observation, check_utilities
 
 DEFAULT_CHEEGER_CAP = 20
@@ -341,16 +350,21 @@ class SpectralDiagnostics:
     lambda2_leave: float | None  # worst leave-one-out unnormalized gap
 
 
+def _estimator_pair_weights(dataset: Dataset, u, estimator: str):
+    """Per-edge blocks of -E[Hessian] for an estimator kind, as pair weights
+    ``(i, j, w, obs)`` (see :func:`plrank.likelihood._pair_weights`): the
+    Bradley-Terry weight per item pair for qmle, the enumerated expected
+    marginal blocks at the estimator's cutoffs otherwise."""
+    if estimator == "qmle":
+        return _pair_weights(u, _edge_groups(dataset), _bradley_terry_block)
+    return _expected_pair_weights(u, apply_estimator_cutoff(dataset, estimator))
+
+
 def _expected_neg_hessian(dataset: Dataset, u, estimator: str) -> np.ndarray:
     """Dense -E[Hessian] for the requested estimator kind (a weighted graph
     Laplacian; depends on edges and cutoffs only)."""
-    from .estimators import apply_estimator_cutoff
-    from .likelihood import expected_marginal_hessian, quasi_hessian
-
-    effective = apply_estimator_cutoff(dataset, estimator)
-    if estimator == "qmle":
-        return -quasi_hessian(u, effective).toarray()
-    return -expected_marginal_hessian(u, effective).toarray()
+    i, j, w, _ = _estimator_pair_weights(dataset, u, estimator)
+    return _laplacian(dataset.n, i, j, w)
 
 
 def spectral_diagnostics(
@@ -365,10 +379,16 @@ def spectral_diagnostics(
     Accepts a Dataset or a bare edge list (edges are then treated as full
     observations; the expectation never depends on outcomes). ``u`` defaults
     to all zeros. Raises :class:`IsolatedVertexError` on zero-degree vertices.
+
+    Every edge's block of the Laplacian is built once per call; the full
+    Laplacian and each leave-one-out Laplacian (item k's edges dropped, row
+    and column k removed) are sums of those blocks over the kept edges.
     """
     dataset = _as_dataset(dataset_or_edges, n)
-    u = np.zeros(dataset.n) if u is None else check_utilities(u, dataset.n)
-    lap = _expected_neg_hessian(dataset, u, estimator)
+    n = dataset.n
+    u = np.zeros(n) if u is None else check_utilities(u, n)
+    i, j, w, obs = _estimator_pair_weights(dataset, u, estimator)
+    lap = _laplacian(n, i, j, w)
     d = np.diag(lap).copy()
     if np.any(d <= 0):
         raise IsolatedVertexError(int(np.flatnonzero(d <= 0)[0]))
@@ -379,13 +399,15 @@ def spectral_diagnostics(
     lam_leave = None
     if leave_one_out:
         lam_leave = math.inf
-        for k in range(dataset.n):
-            keep = [obs for obs in dataset.observations if k not in obs.ranking]
-            sub = Dataset(dataset.n, keep)
-            lap_k = _expected_neg_hessian(sub, u, estimator)
-            idx = np.arange(dataset.n) != k
-            eig_k = np.linalg.eigvalsh(lap_k[np.ix_(idx, idx)])
-            lam_leave = min(lam_leave, float(eig_k[1]) if eig_k.size > 1 else 0.0)
+        dropped = np.zeros(len(dataset), dtype=bool)
+        for k in range(n):
+            dropped[:] = False
+            dropped[obs[(i == k) | (j == k)]] = True
+            kept = ~dropped[obs]
+            idx = np.arange(n) != k
+            lap_k = _laplacian(n, i[kept], j[kept], w[kept])[np.ix_(idx, idx)]
+            lam_k = scipy.linalg.eigvalsh(lap_k, subset_by_index=[1, 1])[0] if n > 2 else 0.0
+            lam_leave = min(lam_leave, float(lam_k))
     return SpectralDiagnostics(eigenvalues=eigs, s_gap=s_gap, lambda2_leave=lam_leave)
 
 

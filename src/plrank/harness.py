@@ -379,7 +379,7 @@ def _replication(task: dict) -> tuple:
             "iterations": fitted.iterations,
             "converged": fitted.converged,
         }
-        if task["compute_se"]:
+        if task["compute_se"] and fitted.converged:
             t1 = time.perf_counter()
             report = standard_errors(fitted, dataset, level=task["ci_level"])
             rec["se_time"] = time.perf_counter() - t1
@@ -402,12 +402,12 @@ def _aggregate(config: ExperimentConfig, cells: dict, axis_meta: dict) -> list[d
         # best-estimator frequency over replications where someone existed
         wins = {est: 0 for est in config.estimators}
         for rec in per_rep:
-            live = [(rec[e]["linf"], i, e) for i, e in enumerate(config.estimators) if rec[e].get("exists")]
+            live = [(rec[e]["linf"], i, e) for i, e in enumerate(config.estimators) if _completed(rec[e])]
             if live:
                 wins[min(live)[2]] += 1
         for est in config.estimators:
             recs = [rec[est] for rec in per_rep]
-            done = [r for r in recs if r.get("exists")]
+            done = [r for r in recs if _completed(r)]
             errors = np.array([r["linf"] for r in done]) if done else np.array([])
             row = {
                 "experiment": config.experiment,
@@ -433,6 +433,12 @@ def _aggregate(config: ExperimentConfig, cells: dict, axis_meta: dict) -> list[d
     return rows
 
 
+def _completed(record) -> bool:
+    """A replication counts for an estimator only when its estimate exists and
+    the fit converged; anything else is dropped."""
+    return bool(record.get("exists") and record.get("converged"))
+
+
 def _mean_of(records, field_name):
     vals = [r[field_name] for r in records if field_name in r]
     return float(np.mean(vals)) if vals else None
@@ -456,9 +462,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None, workers: int | None =
     """Run a consistency or coverage experiment over ``config.n_values``.
 
     Per replication: draw centered true utilities, sample the design, sample
-    rankings, then per estimator check existence (drop and count on failure),
-    fit, and record the sup-norm error plus (for coverage) plug-in sigmas,
-    CI hits at the truth, and the SE wall-clock.
+    rankings, then per estimator check existence, fit, and record the sup-norm
+    error plus (for coverage) plug-in sigmas, CI hits at the truth, and the SE
+    wall-clock. A replication whose estimate does not exist or whose fit does
+    not converge is dropped (no SE) and counted in ``dropped``.
     """
     if config.experiment == "heterogeneity":
         return heterogeneity_experiment(config, out_dir=out_dir, workers=workers)

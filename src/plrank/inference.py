@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, apply_estimator_cutoff
-from .likelihood import EnumerationBudgetError, _perm_count
+from .likelihood import _check_prefix_budget, _edge_groups, _perm_count, _prefixes
 from .model import Dataset, check_utilities
 
 # two-sided z for common confidence levels
@@ -27,7 +27,7 @@ Z_TABLE = {
     0.99: 2.5758293035489004,
 }
 
-#: Default cap on enumerated prefixes for one inference call.
+#: Default cap on the enumerated prefixes of any one edge in an inference call.
 DEFAULT_PREFIX_BUDGET = 10**7
 
 
@@ -142,30 +142,22 @@ def batch_marginal_inverse_variance(
 
     Enumerates ordered depth-d position tuples once per (edge size, cutoff)
     group; the tuple's last slot identifies the item, so one pass covers every
-    k. Raises :class:`EnumerationBudgetError` (with per-edge counts) if the
-    total exceeds ``prefix_budget``.
+    k. Raises :class:`EnumerationBudgetError` (with per-edge counts) if some
+    edge needs more than ``prefix_budget`` prefixes; the dataset's total is
+    bounded only through memory, by chunking.
     """
     u = check_utilities(u, dataset.n)
-    per_edge = {i: _prefix_cost(obs.m, obs.cutoff) for i, obs in enumerate(dataset.observations)}
-    total_cost = sum(per_edge.values())
-    if total_cost > prefix_budget:
-        worst = dict(sorted(per_edge.items(), key=lambda kv: -kv[1])[:20])
-        raise EnumerationBudgetError(
-            f"inverse-variance enumeration needs {total_cost} prefixes "
-            f"(budget {prefix_budget}); switch estimator or raise the budget",
-            worst,
-        )
+    groups = _edge_groups(dataset)
+    _check_prefix_budget(groups, _prefix_cost, prefix_budget, "inverse-variance")
 
     rho2 = np.zeros(dataset.n)
-    groups: dict[tuple[int, int], list[np.ndarray]] = {}
-    for obs in dataset.observations:
-        groups.setdefault((obs.m, obs.cutoff), []).append(obs.edge)
-    for (m, cutoff), edge_list in groups.items():
-        edges = np.asarray(edge_list, dtype=np.int64)
+    total_cost = 0
+    for (m, cutoff), (_, edges) in groups.items():
+        total_cost += edges.shape[0] * _prefix_cost(m, cutoff)
         scores = np.exp(u[edges] - u.max())
         totals = scores.sum(axis=1)
         for depth in range(1, min(cutoff, m - 1) + 1):
-            perms = np.asarray(list(itertools.permutations(range(m), depth)), dtype=np.int64)
+            perms = _prefixes(m, depth)
             n_p = perms.shape[0]
             rows_per_chunk = max(1, chunk // max(1, n_p * depth))
             for lo in range(0, edges.shape[0], rows_per_chunk):

@@ -9,6 +9,7 @@ supported on co-edge pairs (stored sparsely; densify only for spectral work).
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -175,65 +176,157 @@ def quasi_hessian(u, dataset: Dataset) -> sp.csr_matrix:
     return (off + sp.diags(diag)).tocsr()
 
 
-def _prefix_weights(u_edge: np.ndarray, prefix: tuple[int, ...]) -> tuple[float, np.ndarray]:
-    """PL probability of an ordered prefix (by local position) and the suffix
-    score sums S_1..S_y encountered along it."""
-    a = np.exp(u_edge - u_edge.max())
-    total = a.sum()
-    prob = 1.0
-    s_vals = np.empty(len(prefix))
-    for j, pos in enumerate(prefix):
-        s_vals[j] = total
-        prob *= a[pos] / total
-        total -= a[pos]
-    return prob, s_vals
+@functools.lru_cache(maxsize=None)
+def _prefixes(m: int, depth: int) -> np.ndarray:
+    """Ordered ``depth``-tuples of distinct local positions of an m-edge, in
+    lexicographic order (read-only; shared by every enumerating caller)."""
+    out = np.asarray(list(itertools.permutations(range(m), depth)), dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pairs(m: int) -> np.ndarray:
+    """Local position pairs (p, q), p < q, of an m-edge (n_pairs, 2), read-only."""
+    out = np.asarray(list(itertools.combinations(range(m), 2)), dtype=np.int64).reshape(-1, 2)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _unranked_maps(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 maps of the depth-``d`` prefixes of :func:`_prefixes`: the positions
+    a prefix leaves unranked (n_p, m), and the position pairs of
+    :func:`_pairs` it leaves both unranked (n_p, n_pairs). Read-only."""
+    prefixes = _prefixes(m, d)
+    unranked = np.ones((prefixes.shape[0], m), dtype=bool)
+    unranked[np.arange(prefixes.shape[0])[:, None], prefixes] = False
+    pairs = _pairs(m)
+    left = unranked.astype(float)
+    both = (unranked[:, pairs[:, 0]] & unranked[:, pairs[:, 1]]).astype(float)
+    left.flags.writeable = False
+    both.flags.writeable = False
+    return left, both
+
+
+def _expected_hessian_block(u, edges: np.ndarray, y: int, chunk: int = 1 << 16) -> np.ndarray:
+    """Off-diagonal expected-Hessian weights of same-size edges (n_e, m) at
+    cutoff ``y``: one column per position pair of :func:`_pairs`.
+
+    The weight of (p, q) is ``a_p a_q E[sum_{j <= r_p ^ r_q ^ y} 1/S_j**2]``,
+    i.e. the sum over depths d < y and ordered depth-d prefixes that leave both
+    p and q unranked of ``P(prefix) / S**2``, S being the unranked score sum.
+    Depth by depth, prefix probabilities extend their parents' (prefixes are
+    lexicographic, so a parent's m - d + 1 children are contiguous), S is a
+    product with the 0/1 unranked map (a sum of positive scores, no
+    cancellation), and one product with the 0/1 pair map adds the depth to
+    every edge's block. Scores are shifted by each edge's own maximum (the
+    shift cancels), and temporaries hold about ``chunk`` elements.
+    """
+    m = edges.shape[1]
+    depth = min(y, m - 1)  # depth m - 1 leaves one item: no unranked pair
+    pairs = _pairs(m)
+    vals = u[edges]
+    a = np.exp(vals - vals.max(axis=1, keepdims=True))
+    out = np.zeros((edges.shape[0], len(pairs)))
+    rows = max(1, chunk // max(_perm_count(m, depth - 1), len(pairs)))
+    for lo in range(0, edges.shape[0], rows):
+        ac = a[lo:lo + rows]
+        prob = np.ones((ac.shape[0], 1))
+        for d in range(depth):
+            left, both = _unranked_maps(m, d)
+            if d:
+                parent = np.arange(left.shape[0]) // (m - d + 1)
+                prob = prob[:, parent] * ac[:, _prefixes(m, d)[:, -1]] / rest[:, parent]
+            rest = ac @ left.T
+            out[lo:lo + rows] += (prob / rest**2) @ both
+    return out * a[:, pairs[:, 0]] * a[:, pairs[:, 1]]
+
+
+def _bradley_terry_block(u, edges: np.ndarray, y: int) -> np.ndarray:
+    """Bradley-Terry weight ``e^{u_p+u_q}/(e^{u_p}+e^{u_q})**2`` of every item
+    pair of same-size edges (the QMLE's block; the cutoff is unused)."""
+    pairs = _pairs(edges.shape[1])
+    q = np.exp(-np.abs(u[edges[:, pairs[:, 0]]] - u[edges[:, pairs[:, 1]]]))
+    return q / (1.0 + q) ** 2
+
+
+def _edge_groups(dataset: Dataset) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Observations grouped by (edge size, cutoff): (observation indices,
+    sorted edges (n_g, m)), groups in order of first appearance."""
+    index: dict[tuple[int, int], list[int]] = {}
+    for i, obs in enumerate(dataset.observations):
+        index.setdefault((obs.m, obs.cutoff), []).append(i)
+    return {
+        key: (np.asarray(idx, dtype=np.int64),
+              np.asarray([dataset.observations[i].edge for i in idx], dtype=np.int64))
+        for key, idx in index.items()
+    }
+
+
+def _check_prefix_budget(groups, cost, budget: int, what: str) -> None:
+    """Raise :class:`EnumerationBudgetError` naming every observation whose
+    per-edge prefix count ``cost(m, y)`` exceeds ``budget``."""
+    over = {}
+    for (m, y), (idx, _) in groups.items():
+        count = cost(m, y)
+        if count > budget:
+            over.update(dict.fromkeys(idx.tolist(), count))
+    if over:
+        raise EnumerationBudgetError(
+            f"{len(over)} edges exceed the per-edge {what} prefix budget {budget} "
+            f"(largest needs {max(over.values())}); switch estimator or raise the budget",
+            over,
+        )
+
+
+def _pair_weights(u, groups, block=_expected_hessian_block):
+    """Per-edge pair weights ``(i, j, w, obs)`` over :func:`_edge_groups`:
+    items i and j, weight w and observation index of every item pair of every
+    edge, from ``block``."""
+    i, j, w, obs = [], [], [], []
+    for (m, y), (idx, edges) in groups.items():
+        pairs = _pairs(m)
+        i.append(edges[:, pairs[:, 0]].ravel())
+        j.append(edges[:, pairs[:, 1]].ravel())
+        w.append(block(u, edges, y).ravel())
+        obs.append(np.repeat(idx, len(pairs)))
+    if not w:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty, np.empty(0), empty
+    return np.concatenate(i), np.concatenate(j), np.concatenate(w), np.concatenate(obs)
+
+
+def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6):
+    """Pair weights of the expected marginal Hessian's per-edge blocks, after
+    the per-edge prefix budget check."""
+    groups = _edge_groups(dataset)
+    _check_prefix_budget(groups, _perm_count, max_prefixes_per_edge, "expected-Hessian")
+    return _pair_weights(u, groups)
+
+
+def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Dense weighted graph Laplacian of the pair weights; repeats add."""
+    flat = np.concatenate([i * n + j, j * n + i, i * (n + 1), j * (n + 1)])
+    vals = np.concatenate([-w, -w, w, w])
+    return np.bincount(flat, vals, minlength=n * n).reshape(n, n)
 
 
 def expected_marginal_hessian(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6) -> sp.csr_matrix:
     """Expectation of :func:`marginal_hessian` over ranking outcomes drawn at
     the same ``u``, by exact enumeration of ordered top-``y`` prefixes.
 
-    Depends on the dataset only through edges and cutoffs. Raises
-    :class:`EnumerationBudgetError` when some edge needs more than
-    ``max_prefixes_per_edge`` ordered prefixes (m!/(m-y)!); callers may then
-    use :func:`expected_marginal_hessian_mc`.
+    Depends on the dataset only through edges and cutoffs. Each (edge size,
+    cutoff) group is enumerated once, as a batch over its edges: cached
+    per-depth prefix tables turn prefix probabilities and ``1/S**2`` into
+    every edge's off-diagonal block with one matrix product per depth (see
+    :func:`_expected_hessian_block`). Raises :class:`EnumerationBudgetError` when some edge needs more
+    than ``max_prefixes_per_edge`` ordered prefixes (m!/(m-y)!); callers may
+    then use :func:`expected_marginal_hessian_mc`.
     """
     u = check_utilities(u, dataset.n)
-    over = {}
-    for idx, obs in enumerate(dataset.observations):
-        count = _perm_count(obs.m, obs.cutoff)
-        if count > max_prefixes_per_edge:
-            over[idx] = count
-    if over:
-        raise EnumerationBudgetError(
-            f"{len(over)} edges exceed the per-edge prefix budget {max_prefixes_per_edge}", over
-        )
-
-    h = np.zeros((dataset.n, dataset.n))
-    for obs in dataset.observations:
-        edge = obs.edge
-        m, y = obs.m, obs.cutoff
-        u_edge = u[list(edge)]
-        # max-shifted scores appear in both numerators and the S sums, so the
-        # shift cancels exactly
-        a = np.exp(u_edge - u_edge.max())
-        local = np.zeros((m, m))
-        for prefix in itertools.permutations(range(m), y):
-            prob, s_vals = _prefix_weights(u_edge, prefix)
-            rank = np.full(m, y)  # local effective rank r ^ y (1-based)
-            for j, pos in enumerate(prefix):
-                rank[pos] = j + 1
-            inv2 = np.cumsum(1.0 / s_vals**2)
-            for p in range(m):
-                for q in range(p + 1, m):
-                    depth = min(rank[p], rank[q])
-                    val = prob * a[p] * a[q] * inv2[depth - 1]
-                    local[p, q] += val
-                    local[q, p] += val
-        idx = np.asarray(edge)
-        h[np.ix_(idx, idx)] += local
-    np.fill_diagonal(h, h.diagonal() - h.sum(axis=1))
-    return sp.csr_matrix(h)
+    i, j, w, _ = _expected_pair_weights(u, dataset, max_prefixes_per_edge)
+    return sp.csr_matrix(-_laplacian(dataset.n, i, j, w))
 
 
 def expected_marginal_hessian_mc(u, dataset: Dataset, n_samples: int = 10**4, rng=None):

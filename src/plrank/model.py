@@ -96,10 +96,19 @@ class Observation:
         return self.cutoff == self.m
 
     def with_cutoff(self, y) -> "Observation":
-        """Copy with the cutoff replaced by ``min(y, m)`` ("full" resets it)."""
-        if y == "full" or y is None:
-            return Observation(self.ranking)
-        return Observation(self.ranking, min(int(y), self.m))
+        """Copy with the cutoff replaced by ``min(y, m)`` ("full" resets it);
+        ``self`` when the cutoff is unchanged (observations are immutable)."""
+        m = len(self.ranking)
+        cutoff = m if y == "full" or y is None else min(int(y), m)
+        if cutoff == self.cutoff:
+            return self
+        if not 1 <= cutoff <= m:
+            return Observation(self.ranking, cutoff)  # validates (-1 means full)
+        # the ranking is already validated: set the fields without re-checking
+        out = object.__new__(Observation)
+        object.__setattr__(out, "ranking", self.ranking)
+        object.__setattr__(out, "cutoff", cutoff)
+        return out
 
 
 @dataclass
@@ -165,8 +174,10 @@ def sample_ranking(u, edge, rng: np.random.Generator) -> Ranking:
     Equivalent to sequentially picking each next item with probability
     proportional to exp(u); implemented as a Gumbel-max argsort.
     """
-    u = check_utilities(u)
-    edge = tuple(edge)
+    return _draw_ranking(check_utilities(u), tuple(edge), rng)
+
+
+def _draw_ranking(u: np.ndarray, edge: tuple, rng: np.random.Generator) -> Ranking:
     keys = u[list(edge)] + rng.gumbel(size=len(edge))
     order = np.argsort(-keys, kind="stable")
     return tuple(edge[i] for i in order)
@@ -176,7 +187,7 @@ def sample_rankings(u, edges, rng: np.random.Generator, cutoff=None) -> "Dataset
     """Sample one observation per edge; ``cutoff`` as in ``with_cutoff``."""
     u = check_utilities(u)
     n = u.shape[0]
-    obs = [Observation(sample_ranking(u, e, rng)).with_cutoff(cutoff) for e in edges]
+    obs = [Observation(_draw_ranking(u, tuple(e), rng)).with_cutoff(cutoff) for e in edges]
     return Dataset(n, obs)
 
 
@@ -212,11 +223,32 @@ def full_breaking(obs: Observation) -> list[tuple[int, int]]:
 
 
 def broken_pairs(dataset: Dataset) -> np.ndarray:
-    """(n_pairs, 2) winner/loser array from full-breaking every observation."""
-    pairs = [p for obs in dataset.observations for p in full_breaking(obs)]
-    if not pairs:
-        return np.empty((0, 2), dtype=np.int64)
-    return np.asarray(pairs, dtype=np.int64)
+    """(n_pairs, 2) winner/loser array from full-breaking every observation:
+    the rows of :func:`full_breaking`, concatenated in observation order.
+
+    Observations are grouped by (edge size, cutoff); each group fills its rows
+    from one (winner position, loser position) template.
+    """
+    observations = dataset.observations
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, obs in enumerate(observations):
+        groups.setdefault((len(obs.ranking), obs.cutoff), []).append(i)
+    counts = np.zeros(len(observations), dtype=np.int64)
+    templates = {}
+    for (m, y), idx in groups.items():
+        win, lose = np.triu_indices(m, 1)  # j < t, j-major as in full_breaking
+        keep = win < min(y, m - 1)
+        templates[m, y] = win[keep], lose[keep]
+        counts[idx] = keep.sum()
+    starts = np.cumsum(counts) - counts
+    pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    for (m, y), idx in groups.items():
+        win, lose = templates[m, y]
+        rankings = np.asarray([observations[i].ranking for i in idx], dtype=np.int64)
+        rows = starts[idx][:, None] + np.arange(win.size)
+        pairs[rows, 0] = rankings[:, win]
+        pairs[rows, 1] = rankings[:, lose]
+    return pairs
 
 
 def grouped_rankings(dataset: Dataset) -> dict[int, tuple[np.ndarray, np.ndarray]]:

@@ -82,6 +82,18 @@ def test_graph_diag_generate(tmp_path):
     assert diag["n"] == 30 and diag["n_edges"] == 50
 
 
+def test_graph_diag_full_leave_one_out(tmp_path):
+    # 800 edges of sizes 3-6 over 40 items: the exact full-MLE Laplacian with
+    # its leave-one-out gap
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps({"n": 40, "design": {"recipe": "nurhm-coverage"}}))
+    out = tmp_path / "diag.json"
+    assert main(["graph-diag", "--generate", str(cfg), "--estimator", "full", "--out", str(out)]) == 0
+    diag = json.loads(out.read_text())
+    assert diag["n_edges"] == 800
+    assert diag["lambda2_leave"] is not None and diag["lambda2_leave"] > 0
+
+
 def test_graph_diag_needs_exactly_one_source(tmp_path, dataset_csv):
     assert main(["graph-diag", "--out", str(tmp_path / "x.json")]) == 2
     cfg = tmp_path / "design.json"

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import expected_neg_hessian_loop, leave_one_out_gap_rebuild
 from scipy.stats import ks_2samp
 
 from plrank import (
@@ -265,6 +266,22 @@ class TestSpectral:
         relabeled = spectral_diagnostics(edges_p, u_p, estimator="qmle")
         assert base.s_gap == pytest.approx(relabeled.s_gap, abs=1e-10)
         assert base.lambda2_leave == pytest.approx(relabeled.lambda2_leave, abs=1e-10)
+
+    @pytest.mark.parametrize("estimator", ["qmle", "choice1", "choice2", "full", "marginal"])
+    def test_blocks_match_rebuild_per_item(self, estimator):
+        rng = np.random.default_rng(15)
+        n = 7
+        edges = [(k, (k + 1) % n) for k in range(n)]
+        edges += [tuple(rng.choice(n, size=int(m), replace=False).tolist()) for m in (3, 3, 4, 4, 5, 5, 6)]
+        ds = Dataset(n, [Observation(e, int(rng.integers(1, len(e) + 1))) for e in edges])
+        u = center(rng.uniform(-1.5, 1.5, n))
+        spec = spectral_diagnostics(ds, u, estimator=estimator)
+        lap = expected_neg_hessian_loop(ds, u, estimator)
+        d = np.sqrt(np.diag(lap))
+        eigs = np.linalg.eigvalsh(lap / d[:, None] / d[None, :])
+        assert np.allclose(spec.eigenvalues, eigs, rtol=0, atol=1e-12)
+        assert spec.s_gap == pytest.approx(min(eigs[1], 2 - eigs[-1]), rel=1e-12)
+        assert spec.lambda2_leave == pytest.approx(leave_one_out_gap_rebuild(ds, u, estimator), rel=1e-12)
 
     def test_isolated_vertex_error(self):
         with pytest.raises(IsolatedVertexError) as err:

@@ -133,6 +133,36 @@ class TestRunExperiment:
         assert row["completed"] + row["dropped"] == 12
         assert row["dropped"] > 0
 
+    def test_nonconverged_fit_is_dropped_not_fatal(self):
+        cfg = ExperimentConfig(
+            experiment="coverage",
+            n_values=(200,),
+            replications=1,
+            design={"recipe": "nurhm-coverage"},
+            master_seed=7,
+            fit_max_iter=2,
+        )
+        res = run_experiment(cfg)
+        for est in cfg.estimators:
+            row = res.cell(est, n=200)
+            assert (row["completed"], row["dropped"]) == (0, 1)
+            assert row["coverage"] is None and row["se_time_s"] is None
+
+    def test_nonconverged_fits_count_as_dropped(self):
+        cfg = ExperimentConfig(
+            experiment="consistency",
+            n_values=(20,),
+            replications=3,
+            design={"kind": "fixed-sizes", "sizes": [3], "counts": [60]},
+            master_seed=4,
+            fit_max_iter=1,
+        )
+        res = run_experiment(cfg)
+        for est in cfg.estimators:
+            row = res.cell(est, n=20)
+            assert (row["completed"], row["dropped"]) == (0, 3)
+            assert row["mean_linf"] is None and row["best_freq"] == 0.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="nope", n_values=(5,), replications=1, design={})

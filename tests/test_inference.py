@@ -7,6 +7,7 @@ from scipy.stats import norm
 from plrank import (
     Dataset,
     FitConfig,
+    FitResult,
     Observation,
     center,
     fit_marginal_mle,
@@ -256,6 +257,23 @@ class TestStandardErrors:
         with pytest.raises(EnumerationBudgetError) as err:
             standard_errors(res, ds, prefix_budget=3)
         assert err.value.per_edge
+
+    def test_budget_is_per_edge(self):
+        # 50,000 five-way edges need 205 prefixes each, 10.25 M in total: over
+        # the default budget as a dataset total, well within it per edge
+        rng = np.random.default_rng(77)
+        n, count = 2000, 50_000
+        starts = rng.integers(0, n, count)
+        edges = (starts[:, None] + np.arange(5)) % n
+        ds = Dataset(n, [Observation(tuple(e)) for e in edges.tolist()])
+        u = center(rng.uniform(-0.5, 0.5, n))
+        fitted = FitResult(u, "full", 0.0, 1, True, 0.0)
+        report = standard_errors(fitted, ds)
+        assert report.theta_cost == 205 * count
+        assert np.all(np.isfinite(report.sigma))
+        with pytest.raises(EnumerationBudgetError) as err:
+            standard_errors(fitted, ds, prefix_budget=204)
+        assert len(err.value.per_edge) == count
 
     def test_requires_convergence(self, small_dataset):
         _, ds = small_dataset

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import expected_marginal_hessian_loop
 
 from plrank import (
     Dataset,
@@ -224,6 +227,58 @@ class TestExpectedHessian:
         with pytest.raises(EnumerationBudgetError) as err:
             expected_marginal_hessian(np.zeros(9), ds, max_prefixes_per_edge=1000)
         assert err.value.per_edge == {0: math.factorial(9)}
+
+
+@st.composite
+def cutoff_datasets(draw, max_items=8, max_m=6, max_obs=5):
+    """Datasets with mixed edge sizes 2..max_m and random cutoffs."""
+    n = draw(st.integers(2, max_items))
+    observations = []
+    for _ in range(draw(st.integers(1, max_obs))):
+        m = draw(st.integers(2, min(max_m, n)))
+        ranking = draw(st.permutations(range(n)))[:m]
+        observations.append(Observation(tuple(ranking), draw(st.integers(1, m))))
+    return Dataset(n, observations)
+
+
+def utilities(n, bound=5.0):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+class TestBatchedExpectedHessian:
+    """The per-(m, y) batched enumeration against the per-prefix loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_loop_oracle(self, data):
+        ds = data.draw(cutoff_datasets())
+        u = data.draw(utilities(ds.n))
+        got = expected_marginal_hessian(u, ds).toarray()
+        want = expected_marginal_hessian_loop(u, ds)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_laplacian_structure(self, data):
+        ds = data.draw(cutoff_datasets())
+        h = expected_marginal_hessian(data.draw(utilities(ds.n)), ds).toarray()
+        assert np.array_equal(h, h.T)
+        assert np.all(np.abs(h.sum(axis=1)) <= 1e-12 * np.abs(np.diag(h)).max())
+        off = h[~np.eye(ds.n, dtype=bool)]
+        assert np.all(off >= 0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_finite_far_below_global_max(self, data):
+        ds = data.draw(cutoff_datasets(max_items=6))
+        u = data.draw(utilities(ds.n, bound=2.0))
+        # two extra items, compared with each other only, set the global max
+        far = np.concatenate([u - 800.0, [0.0, 0.0]])
+        wide = Dataset(ds.n + 2, ds.observations + [Observation((ds.n, ds.n + 1))])
+        got = expected_marginal_hessian(far, wide).toarray()
+        assert np.all(np.isfinite(got))
+        want = expected_marginal_hessian(u, ds).toarray()
+        np.testing.assert_allclose(got[: ds.n, : ds.n], want, rtol=1e-12, atol=0)
 
 
 class TestFisherIdentity:

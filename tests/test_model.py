@@ -8,6 +8,7 @@ from plrank import (
     Dataset,
     DataFormatError,
     Observation,
+    broken_pairs,
     center,
     full_breaking,
     load_dataset,
@@ -160,6 +161,29 @@ class TestBreaking:
     def test_count_full(self):
         obs = Observation(tuple(range(5)))
         assert len(full_breaking(obs)) == 10
+
+    def test_broken_pairs_concatenates_full_breaking(self):
+        # mixed sizes and cutoffs, interleaved so the (size, cutoff) groups
+        # must be written back in observation order
+        rng = np.random.default_rng(8)
+        obs = []
+        for _ in range(60):
+            m = int(rng.integers(2, 7))
+            obs.append(Observation(tuple(rng.permutation(9)[:m].tolist()), int(rng.integers(1, m + 1))))
+        ds = Dataset(9, obs)
+        want = [p for o in obs for p in full_breaking(o)]
+        got = broken_pairs(ds)
+        assert got.dtype == np.int64 and got.tolist() == [list(p) for p in want]
+        assert broken_pairs(Dataset(3, [])).shape == (0, 2)
+
+    def test_with_cutoff_copies_only_on_change(self):
+        obs = Observation((2, 0, 1), 2)
+        assert obs.with_cutoff(2) is obs
+        assert obs.with_cutoff(5) == Observation((2, 0, 1))
+        assert obs.with_cutoff("full") == Observation((2, 0, 1))
+        assert obs.with_cutoff(1) == Observation((2, 0, 1), 1)
+        with pytest.raises(ValueError):
+            obs.with_cutoff(0)
 
 
 class TestValidation:
