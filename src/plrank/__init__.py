@@ -29,6 +29,7 @@ from .likelihood import (
     quasi_score,
 )
 from .estimators import (
+    ESTIMATOR_CUTOFFS,
     ESTIMATOR_KINDS,
     FitConfig,
     FitResult,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .estimators import FitConfig, FitResult, NonexistenceError, fit
+from .estimators import ESTIMATOR_KINDS, FitConfig, FitResult, NonexistenceError, fit
 from .graphs import CapExceededError, IsolatedVertexError, graph_diagnostics
 from .inference import standard_errors
 from .likelihood import EnumerationBudgetError
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit an estimator to a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV (JSON sidecar optional)")
-    p.add_argument("--estimator", required=True, choices=["full", "marginal", "choice1", "choice2", "qmle"])
+    p.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
     p.add_argument("--tol", type=float, default=1e-8, help="normalized score sup-norm tolerance")
     p.add_argument("--max-iter", type=int, default=5000)
     p.add_argument("--out", required=True, help="output fit JSON")
@@ -173,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generate", help="JSON design config {n, design} to sample instead")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fit", help="optional fit JSON; spectral quantities use its utilities (else zeros)")
-    p.add_argument("--estimator", default="qmle", choices=["full", "marginal", "choice1", "choice2", "qmle"])
+    p.add_argument("--estimator", default="qmle", choices=ESTIMATOR_KINDS)
     p.add_argument("--exact-cheeger", action="store_true")
     p.add_argument("--cheeger-cap", type=int, default=20)
     p.add_argument("--gamma-re", action="store_true", help="exact admissible-chain bound (tiny n)")

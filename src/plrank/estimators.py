@@ -1,9 +1,15 @@
-"""Existence checking and MM fitting for the marginal MLE family and the QMLE.
+"""Existence checking and MM fitting for all five estimator kinds.
 
-Both fitters run a minorize-maximize update in score space, recenter to the
-sum-zero gauge each sweep, and stop when the sup-norm of the score divided by
-the observation count drops below the tolerance, which certifies the
-estimating equations directly.
+:data:`ESTIMATOR_CUTOFFS` is the one table from estimator kind to the cutoff
+it fits at. Every kind runs the same minorize-maximize loop (Hunter, Ann.
+Statist. 2004) on the likelihood engine's (edge size, cutoff) groups: the
+marginal kinds on the observations' rankings at their cutoffs, the QMLE on
+one (2, 1) group of fully broken pairs, whose marginal MLE it is (Azari
+Soufiani, Parkes & Xia, ICML 2014). One engine pass per iterate gives both
+the score for the stopping rule and the next MM denominator. Each sweep
+recenters to the sum-zero gauge, and the loop stops when the sup-norm of the
+score divided by the observation count drops below the tolerance, which
+certifies the estimating equations directly.
 """
 
 from __future__ import annotations
@@ -15,16 +21,14 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .likelihood import (
-    _group_arrays,
-    _marginal_loglik_from_groups,
-    _marginal_score_from_groups,
-    _quasi_loglik_from_pairs,
-    _quasi_score_from_pairs,
-)
-from .model import Dataset, broken_pairs, center, check_utilities, grouped_rankings
+from .likelihood import _marginal_loglik_from_groups, _marginal_pass, _pair_block
+from .model import Dataset, broken_pairs, center, check_utilities, full_breaking, grouped_rankings
 
-ESTIMATOR_KINDS = ("full", "marginal", "choice1", "choice2", "qmle")
+#: Estimator kind -> the cutoff it fits at: "full" (y = m), a top-y cutoff
+#: (y = min(y, m)), or None (each observation's stored cutoff). The QMLE
+#: breaks the full rankings into pairs.
+ESTIMATOR_CUTOFFS = {"full": "full", "marginal": None, "choice1": 1, "choice2": 2, "qmle": "full"}
+ESTIMATOR_KINDS = tuple(ESTIMATOR_CUTOFFS)
 
 
 class NonexistenceError(RuntimeError):
@@ -94,16 +98,14 @@ class FitResult:
 
 
 def apply_estimator_cutoff(dataset: Dataset, estimator: str, y_override=None) -> Dataset:
-    """Dataset with the cutoffs an estimator kind actually consumes."""
-    if estimator in ("full", "qmle"):
-        return dataset.with_cutoff("full")
-    if estimator == "choice1":
-        return dataset.with_cutoff(1)
-    if estimator == "choice2":
-        return dataset.with_cutoff(2)
-    if estimator == "marginal":
-        return dataset if y_override is None else dataset.with_cutoff(y_override)
-    raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_KINDS}")
+    """Dataset with the cutoffs an estimator kind actually consumes, from
+    :data:`ESTIMATOR_CUTOFFS`; ``y_override`` applies to the stored-cutoff
+    kind ("marginal") only."""
+    if estimator not in ESTIMATOR_CUTOFFS:
+        raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_KINDS}")
+    y = ESTIMATOR_CUTOFFS[estimator]
+    y = y_override if y is None else y
+    return dataset if y is None else dataset.with_cutoff(y)
 
 
 def existence_check(dataset: Dataset) -> ExistenceResult:
@@ -141,8 +143,6 @@ def existence_check_bruteforce(dataset: Dataset) -> bool:
     n = dataset.n
     beats = set()
     for obs in dataset.observations:
-        from .model import full_breaking
-
         beats.update(full_breaking(obs))
     items = range(n)
     for size in range(1, n):
@@ -153,61 +153,46 @@ def existence_check_bruteforce(dataset: Dataset) -> bool:
     return True
 
 
+def _wins(groups, n: int) -> np.ndarray:
+    """Per-item count of observed positions (ranks inside the cutoff)."""
+    wins = np.zeros(n, dtype=np.int64)
+    for (_, y), (_, rankings) in groups.items():
+        wins += np.bincount(rankings[:, :y].ravel(), minlength=n)
+    return wins
+
+
 def _mm_marginal_sweep(u, groups):
     """One MM sweep; returns new utilities.
 
     exp(u_k) <- W_k / sum_{i: k in T_i} sum_{j <= r_i(k) ^ y_i} 1 / S_j(old).
     """
-    n = u.shape[0]
-    wins = np.zeros(n)
-    denom = np.zeros(n)
-    for _, (rankings, cutoffs) in groups.items():
-        a, s, observed = _group_arrays(u, rankings, cutoffs)
-        inv = np.where(observed, 1.0 / s, 0.0)
-        csum = np.cumsum(inv, axis=1)
-        np.add.at(denom, rankings, csum)
-        np.add.at(wins, rankings, observed.astype(float))
-    # scale of a is e^{-max u}; fold it back so u keeps its gauge before recentering
-    return np.log(wins) - np.log(denom) + u.max()
+    # scale of the scores is e^{-max u}; fold it back so u keeps its gauge
+    return np.log(_wins(groups, u.shape[0])) - np.log(_marginal_pass(u, groups)[1]) + u.max()
 
 
-def fit_marginal_mle(dataset: Dataset, y_override=None, config: FitConfig | None = None) -> FitResult:
-    """Marginal MLE via MM; covers full (y=m), choice-one, choice-two and
-    per-observation cutoffs.
-
-    ``y_override``: None keeps stored cutoffs, an integer sets y = min(y, m),
-    "full" sets y = m. Raises :class:`NonexistenceError` when the maximizer
-    does not exist. The returned estimate satisfies the per-item estimating
-    equations to the configured tolerance when converged.
-    """
+def _mm_fit(effective: Dataset, groups, kind: str, y_override, config: FitConfig | None) -> FitResult:
+    """MM on the engine groups of ``effective`` (its rankings, or its broken
+    pairs for the QMLE), after the existence check."""
     config = config or FitConfig()
-    effective = dataset if y_override is None else dataset.with_cutoff(y_override)
     ok = existence_check(effective)
     if not ok:
         raise NonexistenceError(ok.failing_partition)
-
-    if y_override == "full":
-        kind = "full"
-    elif y_override in (1, 2):
-        kind = f"choice{y_override}"
-    else:
-        kind = "marginal"
-
-    groups = grouped_rankings(effective)
     n_obs = len(effective)
-    n = dataset.n
-    u = _initial(config, n)
-    grad_inf = float(np.abs(_marginal_score_from_groups(u, groups, n)).max()) / n_obs
+    log_wins = np.log(_wins(groups, effective.n))
+    u = _initial(config, effective.n)
+    work: dict = {}
+    score, denom = _marginal_pass(u, groups, work)
+    grad_inf = float(np.abs(score).max()) / n_obs
     iterations = 0
     while grad_inf > config.tol_grad_inf and iterations < config.max_iter:
-        u = center(_mm_marginal_sweep(u, groups))
+        u = center(log_wins - np.log(denom) + u.max())
         iterations += 1
-        grad_inf = float(np.abs(_marginal_score_from_groups(u, groups, n)).max()) / n_obs
-    log_lik = _marginal_loglik_from_groups(u, groups)
+        score, denom = _marginal_pass(u, groups, work)
+        grad_inf = float(np.abs(score).max()) / n_obs
     return FitResult(
         estimate=u,
         estimator=kind,
-        final_log_lik=log_lik,
+        final_log_lik=_marginal_loglik_from_groups(u, groups),
         iterations=iterations,
         converged=grad_inf <= config.tol_grad_inf,
         final_grad_inf=grad_inf,
@@ -215,58 +200,40 @@ def fit_marginal_mle(dataset: Dataset, y_override=None, config: FitConfig | None
     )
 
 
+def fit_marginal_mle(dataset: Dataset, y_override=None, config: FitConfig | None = None) -> FitResult:
+    """Marginal MLE via MM; covers full (y=m), choice-one, choice-two and
+    per-observation cutoffs.
+
+    ``y_override``: None keeps stored cutoffs, an integer sets y = min(y, m),
+    "full" sets y = m; the result's kind is the marginal kind of
+    :data:`ESTIMATOR_CUTOFFS` with that cutoff ("marginal" if none). Raises
+    :class:`NonexistenceError` when the maximizer does not exist. The
+    returned estimate satisfies the per-item estimating equations to the
+    configured tolerance when converged.
+    """
+    effective = dataset if y_override is None else dataset.with_cutoff(y_override)
+    kind = next((k for k, y in ESTIMATOR_CUTOFFS.items() if y is not None and y == y_override), "marginal")
+    return _mm_fit(effective, grouped_rankings(effective), kind, y_override, config)
+
+
 def fit_qmle(dataset: Dataset, config: FitConfig | None = None) -> FitResult:
-    """QMLE: Bradley-Terry MM on the fully broken pairwise outcomes.
+    """QMLE: the MM engine on the fully broken pairwise outcomes (Bradley-Terry
+    MM on the (2, 1) broken-pairs group).
 
     The returned estimate matches observed and expected ranks per item
     (rank-matching estimating equations) to the configured tolerance.
     """
-    config = config or FitConfig()
-    ok = existence_check(dataset)
-    if not ok:
-        raise NonexistenceError(ok.failing_partition)
-
-    pairs = broken_pairs(dataset)
-    n = dataset.n
-    n_obs = len(dataset)
-    wins = np.bincount(pairs[:, 0], minlength=n).astype(float)
-
-    u = _initial(config, n)
-    grad_inf = float(np.abs(_quasi_score_from_pairs(u, pairs, n)).max()) / n_obs
-    iterations = 0
-    while grad_inf > config.tol_grad_inf and iterations < config.max_iter:
-        s = np.exp(u - u.max())
-        inv = 1.0 / (s[pairs[:, 0]] + s[pairs[:, 1]])
-        denom = np.zeros(n)
-        np.add.at(denom, pairs[:, 0], inv)
-        np.add.at(denom, pairs[:, 1], inv)
-        u = center(np.log(wins) - np.log(denom) + u.max())
-        iterations += 1
-        grad_inf = float(np.abs(_quasi_score_from_pairs(u, pairs, n)).max()) / n_obs
-    return FitResult(
-        estimate=u,
-        estimator="qmle",
-        final_log_lik=_quasi_loglik_from_pairs(u, pairs),
-        iterations=iterations,
-        converged=grad_inf <= config.tol_grad_inf,
-        final_grad_inf=grad_inf,
-        y_override=None,
-    )
+    return _mm_fit(dataset, _pair_block(dataset), "qmle", None, config)
 
 
 def fit(dataset: Dataset, estimator: str, config: FitConfig | None = None) -> FitResult:
-    """Dispatch by estimator kind ("full", "marginal", "choice1", "choice2", "qmle")."""
+    """Fit an estimator kind ("full", "marginal", "choice1", "choice2",
+    "qmle") at its cutoff from :data:`ESTIMATOR_CUTOFFS`."""
+    effective = apply_estimator_cutoff(dataset, estimator)
     if estimator == "qmle":
-        return fit_qmle(dataset.with_cutoff("full"), config)
-    if estimator == "full":
-        return fit_marginal_mle(dataset, "full", config)
-    if estimator == "choice1":
-        return fit_marginal_mle(dataset, 1, config)
-    if estimator == "choice2":
-        return fit_marginal_mle(dataset, 2, config)
-    if estimator == "marginal":
-        return fit_marginal_mle(dataset, None, config)
-    raise ValueError(f"unknown estimator {estimator!r}; expected one of {ESTIMATOR_KINDS}")
+        return fit_qmle(effective, config)
+    y = ESTIMATOR_CUTOFFS[estimator]
+    return _mm_fit(effective, grouped_rankings(effective), estimator, y, config)
 
 
 def _initial(config: FitConfig, n: int) -> np.ndarray:

@@ -22,14 +22,8 @@ import numpy as np
 import scipy.linalg
 
 from .estimators import apply_estimator_cutoff
-from .likelihood import (
-    _bradley_terry_block,
-    _edge_groups,
-    _expected_pair_weights,
-    _laplacian,
-    _pair_weights,
-)
-from .model import Dataset, Edge, Observation, check_utilities
+from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_weights
+from .model import Dataset, Edge, Observation, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
@@ -123,14 +117,21 @@ class BlockModelConfig:
         return [np.arange(bounds[i], bounds[i + 1]) for i in range(len(self.community_sizes))]
 
 
+def _random_subsets(items: np.ndarray, m: int, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """``batch`` uniform random m-subsets of ``items`` as sorted rows: each
+    row takes the m smallest of i.i.d. uniform keys."""
+    keys = rng.random((batch, len(items)))
+    if m < len(items):
+        picks = np.argpartition(keys, m, axis=1)[:, :m]
+    else:
+        picks = np.tile(np.arange(len(items)), (batch, 1))
+    return np.sort(items[picks], axis=1)
+
+
 def sample_distinct_edges(items, m: int, count: int, rng: np.random.Generator,
                           exclude=None, predicate=None) -> list[Edge]:
     """``count`` distinct uniform m-subsets of ``items`` (optionally filtered by
-    ``predicate`` and disjoint from ``exclude``), via batched rejection.
-
-    Each batch row takes the m smallest of i.i.d. uniform keys, which is a
-    uniform random m-subset.
-    """
+    ``predicate`` and disjoint from ``exclude``), via batched rejection."""
     items = np.asarray(items, dtype=np.int64)
     total = math.comb(len(items), m)
     if count > total:
@@ -141,14 +142,7 @@ def sample_distinct_edges(items, m: int, count: int, rng: np.random.Generator,
     out: list[Edge] = []
     while len(out) < count:
         need = count - len(out)
-        batch = max(32, need + need // 4)
-        keys = rng.random((batch, len(items)))
-        if m < len(items):
-            picks = np.argpartition(keys, m, axis=1)[:, :m]
-        else:
-            picks = np.tile(np.arange(len(items)), (batch, 1))
-        cand = np.sort(items[picks], axis=1)
-        for row in cand:
+        for row in _random_subsets(items, m, max(32, need + need // 4), rng):
             pick = tuple(row.tolist())
             if pick in seen or (predicate is not None and not predicate(pick)):
                 continue
@@ -168,14 +162,8 @@ def sample_uniform_edges(items, m: int, count: int, rng: np.random.Generator,
         raise ValueError(f"cannot form size-{m} edges from {len(items)} items")
     out: list[Edge] = []
     while len(out) < count:
-        batch = max(32, count - len(out) + (count - len(out)) // 4)
-        keys = rng.random((batch, len(items)))
-        if m < len(items):
-            picks = np.argpartition(keys, m, axis=1)[:, :m]
-        else:
-            picks = np.tile(np.arange(len(items)), (batch, 1))
-        cand = np.sort(items[picks], axis=1)
-        for row in cand:
+        need = count - len(out)
+        for row in _random_subsets(items, m, max(32, need + need // 4), rng):
             pick = tuple(row.tolist())
             if predicate is not None and not predicate(pick):
                 continue
@@ -353,10 +341,12 @@ class SpectralDiagnostics:
 def _estimator_pair_weights(dataset: Dataset, u, estimator: str):
     """Per-edge blocks of -E[Hessian] for an estimator kind, as pair weights
     ``(i, j, w, obs)`` (see :func:`plrank.likelihood._pair_weights`): the
-    Bradley-Terry weight per item pair for qmle, the enumerated expected
-    marginal blocks at the estimator's cutoffs otherwise."""
+    Bradley-Terry weight of every item pair for qmle (its full-ranking
+    expectation, whatever the stored cutoffs), the enumerated expected
+    marginal blocks at the kind's cutoff
+    (:func:`plrank.estimators.apply_estimator_cutoff`) otherwise."""
     if estimator == "qmle":
-        return _pair_weights(u, _edge_groups(dataset), _bradley_terry_block)
+        return _pair_weights(u, grouped_rankings(dataset), _bradley_terry_block)
     return _expected_pair_weights(u, apply_estimator_cutoff(dataset, estimator))
 
 

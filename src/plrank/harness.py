@@ -20,13 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .estimators import (
-    ESTIMATOR_KINDS,
-    FitConfig,
-    apply_estimator_cutoff,
-    existence_check,
-    fit,
-)
+from .estimators import ESTIMATOR_KINDS, FitConfig, NonexistenceError, fit
 from .graphs import (
     BlockModelConfig,
     EdgeSizeRule,
@@ -365,12 +359,12 @@ def _replication(task: dict) -> tuple:
 
     out = {}
     for est in task["estimators"]:
-        effective = apply_estimator_cutoff(dataset, est)
-        if not existence_check(effective):
+        t0 = time.perf_counter()
+        try:
+            fitted = fit(dataset, est, config)
+        except NonexistenceError:
             out[est] = {"exists": False}
             continue
-        t0 = time.perf_counter()
-        fitted = fit(dataset, est, config)
         fit_time = time.perf_counter() - t0
         rec = {
             "exists": True,
@@ -458,50 +452,56 @@ def _run_tasks(tasks, workers: int | None):
         return list(pool.map(_replication, tasks, chunksize=4))
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> ExperimentResult:
-    """Run a consistency or coverage experiment over ``config.n_values``.
+def _execute(config: ExperimentConfig, levels, resolved, out_dir, workers) -> ExperimentResult:
+    """Run ``config.replications`` tasks per level and aggregate them.
 
-    Per replication: draw centered true utilities, sample the design, sample
-    rankings, then per estimator check existence, fit, and record the sup-norm
-    error plus (for coverage) plug-in sigmas, CI hits at the truth, and the SE
-    wall-clock. A replication whose estimate does not exist or whose fit does
-    not converge is dropped (no SE) and counted in ``dropped``.
+    ``levels`` lists (key, axis_meta, task fields) with key =
+    (axis_value, level_index); the fields extend the config's shared task
+    fields (the level's n, design, SE switch, extra edges).
     """
-    if config.experiment == "heterogeneity":
-        return heterogeneity_experiment(config, out_dir=out_dir, workers=workers)
-    tasks = []
-    axis_meta = {}
-    resolved = {}
-    for n in config.n_values:
-        design = resolve_design(config.design, n)
-        resolved[n] = design
-        key = (n, 0)
-        axis_meta[key] = {"n": n}
-        for rep in range(config.replications):
-            tasks.append(
-                {
-                    "key": key,
-                    "rep": rep,
-                    "n": n,
-                    "master_seed": config.master_seed,
-                    "design": design,
-                    "utility_law": config.utility_law,
-                    "estimators": config.estimators,
-                    "ci_level": config.ci_level,
-                    "compute_se": config.wants_se,
-                    "fit_tol": config.fit_tol,
-                    "fit_max_iter": config.fit_max_iter,
-                }
-            )
-    results = _run_tasks(tasks, workers)
+    tasks = [
+        {
+            "key": key,
+            "rep": rep,
+            "master_seed": config.master_seed,
+            "utility_law": config.utility_law,
+            "estimators": config.estimators,
+            "ci_level": config.ci_level,
+            "fit_tol": config.fit_tol,
+            "fit_max_iter": config.fit_max_iter,
+            **fields,
+        }
+        for key, _, fields in levels
+        for rep in range(config.replications)
+    ]
     cells: dict = {}
-    for key, rep, rec in results:
+    for key, rep, rec in _run_tasks(tasks, workers):
         cells.setdefault(key, {})[rep] = rec
-    rows = _aggregate(config, cells, axis_meta)
+    rows = _aggregate(config, cells, {key: meta for key, meta, _ in levels})
     result = ExperimentResult(config=config, rows=rows, resolved_designs=resolved)
     if out_dir is not None:
         result.write_artifacts(out_dir)
     return result
+
+
+def run_experiment(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> ExperimentResult:
+    """Run a consistency or coverage experiment over ``config.n_values``.
+
+    Per replication: draw centered true utilities, sample the design, sample
+    rankings, then per estimator fit (the fit checks existence) and record
+    the sup-norm error plus (for coverage) plug-in sigmas, CI hits at the
+    truth, and the SE wall-clock. A replication whose estimate does not exist
+    or whose fit does not converge is dropped (no SE) and counted in
+    ``dropped``.
+    """
+    if config.experiment == "heterogeneity":
+        return heterogeneity_experiment(config, out_dir=out_dir, workers=workers)
+    resolved = {n: resolve_design(config.design, n) for n in config.n_values}
+    levels = [
+        ((n, 0), {"n": n}, {"n": n, "design": design, "compute_se": config.wants_se})
+        for n, design in resolved.items()
+    ]
+    return _execute(config, levels, resolved, out_dir, workers)
 
 
 def heterogeneity_experiment(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> ExperimentResult:
@@ -518,39 +518,12 @@ def heterogeneity_experiment(config: ExperimentConfig, out_dir=None, workers: in
     sizes = [int(s) for s in design["community_sizes"]]
     lo = sum(sizes[: config.track_community])
     hi = lo + sizes[config.track_community]
-
-    tasks = []
-    axis_meta = {}
-    for level_index, extra in enumerate(schedule):
-        key = (n, level_index)
-        axis_meta[key] = {"n": n, "added_edges": int(extra)}
-        for rep in range(config.replications):
-            tasks.append(
-                {
-                    "key": key,
-                    "rep": rep,
-                    "n": n,
-                    "master_seed": config.master_seed,
-                    "design": design,
-                    "extra_c1_edges": int(extra),
-                    "community_slice": (lo, hi),
-                    "utility_law": config.utility_law,
-                    "estimators": config.estimators,
-                    "ci_level": config.ci_level,
-                    "compute_se": True,
-                    "fit_tol": config.fit_tol,
-                    "fit_max_iter": config.fit_max_iter,
-                }
-            )
-    results = _run_tasks(tasks, workers)
-    cells: dict = {}
-    for key, rep, rec in results:
-        cells.setdefault(key, {})[rep] = rec
-    rows = _aggregate(config, cells, axis_meta)
-    result = ExperimentResult(config=config, rows=rows, resolved_designs={n: design, "schedule": list(schedule)})
-    if out_dir is not None:
-        result.write_artifacts(out_dir)
-    return result
+    levels = [
+        ((n, level_index), {"n": n, "added_edges": int(extra)},
+         {"n": n, "design": design, "extra_c1_edges": int(extra), "community_slice": (lo, hi), "compute_se": True})
+        for level_index, extra in enumerate(schedule)
+    ]
+    return _execute(config, levels, {n: design, "schedule": list(schedule)}, out_dir, workers)
 
 
 # ---------------------------------------------------------------------------

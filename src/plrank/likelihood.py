@@ -1,10 +1,19 @@
 """Log-likelihoods, scores, Hessians, and expected Hessians.
 
-Two objectives share this module: the marginal log-likelihood of the observed
-top-``y`` portions of the rankings, and the quasi log-likelihood obtained by
-full-breaking every observation into Bradley-Terry pairs. Scores sum to zero
-within each edge, and both Hessians are negatives of weighted graph Laplacians
-supported on co-edge pairs (stored sparsely; densify only for spectral work).
+One engine serves every estimator. Observations are grouped by (edge size m,
+cutoff y) (:func:`plrank.model.grouped_rankings`), and the marginal
+log-likelihood sums the observed top-``y`` sequential-choice log-masses of
+every group. The QMLE's quasi log-likelihood is the same objective on one
+(2, 1) group: the Bradley-Terry pairs of :func:`plrank.model.broken_pairs`
+(full rank breaking). Scores sum to zero within each edge, and Hessians are
+negatives of weighted graph Laplacians on co-edge pairs, assembled sparsely
+from per-edge pair weights with the diagonal set to minus the row sums
+(densify only for spectral work).
+
+Scores and MM denominators exponentiate ``u - max(u)`` with one global
+shift, so an observation whose items all sit more than about 745 below the
+largest utility underflows to a zero score sum; Hessian blocks shift each
+edge by its own maximum instead.
 """
 
 from __future__ import annotations
@@ -29,32 +38,63 @@ class EnumerationBudgetError(RuntimeError):
         self.per_edge = dict(per_edge or {})
 
 
-def _suffix_sums(a: np.ndarray) -> np.ndarray:
-    """out[..., j] = sum_{t >= j} a[..., t]."""
-    return np.cumsum(a[..., ::-1], axis=-1)[..., ::-1]
+def _pair_block(dataset: Dataset) -> dict:
+    """The QMLE's data as the engine's one (edge size 2, cutoff 1) group: the
+    winner/loser rows of :func:`broken_pairs`, indexed by pair row (a range,
+    so the index costs no memory during a fit)."""
+    pairs = broken_pairs(dataset)
+    return {(2, 1): (range(len(pairs)), pairs)}
 
 
-def _group_arrays(u: np.ndarray, rankings: np.ndarray, cutoffs: np.ndarray):
-    """Shared per-group precomputation.
+def _marginal_pass(u, groups, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over the (m, y) groups at ``u``: (score, MM denominator).
 
-    Returns (scores A = exp(u - max u) gathered by rank position,
-    suffix sums S, position index row, cutoff mask ``j < y``).
+    Position p of a group holds item k = ranking[p] with score
+    a_p = exp(u_k - max u); with suffix sums S_j = sum_{t >= j} a_t, the
+    running sum c_p = sum_{j <= min(p, y-1)} 1/S_j gives k the score term
+    ``1{p < y} - a_p c_p`` and the MM denominator term c_p. Terms are added
+    position by position. Each group's scratch arrays (the scores, and the
+    1/S_j rows, whose first row also carries the running S) live in
+    ``work``; a fit passes one dict to all its sweeps, so repeated passes
+    allocate nothing of the group's size.
     """
-    vals = u[rankings] - u.max()
-    a = np.exp(vals)
-    s = _suffix_sums(a)
-    positions = np.arange(rankings.shape[1])
-    observed = positions[None, :] < cutoffs[:, None]
-    return a, s, observed
+    e = np.exp(u - u.max())
+    score = np.zeros(u.shape[0])
+    denom = np.zeros(u.shape[0])
+    work = {} if work is None else work
+    for (m, y), (_, rankings) in groups.items():
+        if (m, y) not in work:
+            work[m, y] = np.empty((m, len(rankings))), np.empty((y, len(rankings)))
+        a, t = work[m, y]
+        for p in range(m):
+            np.take(e, rankings[:, p], out=a[p], mode="clip")
+        s = t[0]
+        s[:] = a[m - 1]
+        if y == m:
+            np.divide(1.0, s, out=t[m - 1])
+        for j in range(m - 2, -1, -1):
+            s += a[j]
+            if j < y:
+                np.divide(1.0, s, out=t[j])  # at j = 0, S_0 turns into 1/S_0
+        c = t[0]  # becomes the running sum c_p
+        for p in range(m):
+            if 0 < p < y:
+                c += t[p]
+            a[p] *= c
+            np.negative(a[p], out=a[p])
+            if p < y:
+                a[p] += 1.0  # 1{p < y} - a_p c_p
+            np.add.at(score, rankings[:, p], a[p])
+            np.add.at(denom, rankings[:, p], c)
+    return score, denom
 
 
 def _marginal_loglik_from_groups(u, groups) -> float:
     total = 0.0
-    for _, (rankings, cutoffs) in groups.items():
+    for (_, y), (_, rankings) in groups.items():
         vals = u[rankings]
         lse = np.logaddexp.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
-        observed = np.arange(rankings.shape[1])[None, :] < cutoffs[:, None]
-        total += float(np.sum((vals - lse), where=observed))
+        total += float(np.sum(vals[:, :y] - lse[:, :y]))
     return total
 
 
@@ -64,27 +104,11 @@ def marginal_log_likelihood(u, dataset: Dataset) -> float:
     return _marginal_loglik_from_groups(u, grouped_rankings(dataset))
 
 
-def _quasi_loglik_from_pairs(u, pairs) -> float:
-    if pairs.size == 0:
-        return 0.0
-    uw, ul = u[pairs[:, 0]], u[pairs[:, 1]]
-    return float(np.sum(uw - np.logaddexp(uw, ul)))
-
-
 def quasi_log_likelihood(u, dataset: Dataset) -> float:
-    """Bradley-Terry log-likelihood of the fully broken pairwise outcomes."""
+    """Bradley-Terry log-likelihood of the fully broken pairwise outcomes: the
+    marginal log-likelihood of the (2, 1) broken-pairs group."""
     u = check_utilities(u, dataset.n)
-    return _quasi_loglik_from_pairs(u, broken_pairs(dataset))
-
-
-def _marginal_score_from_groups(u, groups, n) -> np.ndarray:
-    score = np.zeros(n)
-    for _, (rankings, cutoffs) in groups.items():
-        a, s, observed = _group_arrays(u, rankings, cutoffs)
-        inv = np.where(observed, 1.0 / s, 0.0)
-        csum = np.cumsum(inv, axis=1)  # csum[:, p] = sum_{j <= min(p, y-1)} 1/S_j
-        np.add.at(score, rankings, observed.astype(float) - a * csum)
-    return score
+    return _marginal_loglik_from_groups(u, _pair_block(dataset))
 
 
 def marginal_score(u, dataset: Dataset) -> np.ndarray:
@@ -95,18 +119,7 @@ def marginal_score(u, dataset: Dataset) -> np.ndarray:
     sum over ranks >= j. Within each observation the entries sum to zero.
     """
     u = check_utilities(u, dataset.n)
-    return _marginal_score_from_groups(u, grouped_rankings(dataset), dataset.n)
-
-
-def _quasi_score_from_pairs(u, pairs, n) -> np.ndarray:
-    score = np.zeros(n)
-    if pairs.size == 0:
-        return score
-    # d/du_w log BT(w beats l) = 1 - p_w ; d/du_l = -(1 - p_w)
-    loss_prob = 1.0 / (1.0 + np.exp(u[pairs[:, 0]] - u[pairs[:, 1]]))
-    np.add.at(score, pairs[:, 0], loss_prob)
-    np.add.at(score, pairs[:, 1], -loss_prob)
-    return score
+    return _marginal_pass(u, grouped_rankings(dataset))[0]
 
 
 def quasi_score(u, dataset: Dataset) -> np.ndarray:
@@ -116,12 +129,34 @@ def quasi_score(u, dataset: Dataset) -> np.ndarray:
     ``sum_i (E_u[r_i(k)] - r_i(k))`` over observations containing k.
     """
     u = check_utilities(u, dataset.n)
-    return _quasi_score_from_pairs(u, broken_pairs(dataset), dataset.n)
+    return _marginal_pass(u, _pair_block(dataset))[0]
 
 
-def _assemble(n, rows, cols, data) -> sp.csr_matrix:
-    h = sp.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
-    return h.tocsr()
+def _observed_hessian_block(u, rankings: np.ndarray, y: int) -> np.ndarray:
+    """Minus-Hessian pair weights of same-size rankings (n_g, m) at cutoff
+    ``y``, one column per position pair (p, q), p < q, of :func:`_pairs`:
+    ``a_p a_q sum_{j <= min(p, y-1)} 1/S_j**2``, with scores shifted by each
+    row's own maximum (the shift cancels)."""
+    vals = u[rankings]
+    a = np.exp(vals - vals.max(axis=1, keepdims=True))
+    s = np.cumsum(a[:, ::-1], axis=1)[:, ::-1][:, :y]
+    c2 = np.cumsum(1.0 / s**2, axis=1)
+    p, q = _pairs(rankings.shape[1]).T
+    return a[:, p] * a[:, q] * c2[:, np.minimum(p, y - 1)]
+
+
+def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
+    """Negative weighted Laplacian of pair weights (repeats add), sparse: w
+    off the diagonal, and the diagonal is minus the row sums. Repeats are
+    summed once, in the upper triangle, so the matrix is exactly symmetric."""
+    upper = sp.coo_matrix((w, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n)).tocsr()
+    off = upper + upper.T
+    return (off - sp.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
+
+
+def _hessian(u, groups, n: int) -> sp.csr_matrix:
+    i, j, w, _ = _pair_weights(u, groups, _observed_hessian_block, sort=False)
+    return _sparse_hessian(n, i, j, w)
 
 
 def marginal_hessian(u, dataset: Dataset) -> sp.csr_matrix:
@@ -133,47 +168,16 @@ def marginal_hessian(u, dataset: Dataset) -> sp.csr_matrix:
     matrix does not depend on the ranking outcomes.
     """
     u = check_utilities(u, dataset.n)
-    rows, cols, data = [], [], []
-    for m, (rankings, cutoffs) in grouped_rankings(dataset).items():
-        a, s, observed = _group_arrays(u, rankings, cutoffs)
-        inv2 = np.where(observed, 1.0 / s**2, 0.0)
-        c2 = np.cumsum(inv2, axis=1)
-        inv1 = np.where(observed, 1.0 / s, 0.0)
-        c1 = np.cumsum(inv1, axis=1)
-        for p in range(m):
-            # diagonal: -a_p * sum_{j<=p^y} (S_j - a_p)/S_j^2
-            diag = -a[:, p] * (c1[:, p] - a[:, p] * c2[:, p])
-            rows.append(rankings[:, p])
-            cols.append(rankings[:, p])
-            data.append(diag)
-            for q in range(p + 1, m):
-                off = a[:, p] * a[:, q] * c2[:, p]
-                rows.extend([rankings[:, p], rankings[:, q]])
-                cols.extend([rankings[:, q], rankings[:, p]])
-                data.extend([off, off])
-    return _assemble(dataset.n, rows, cols, data)
+    return _hessian(u, grouped_rankings(dataset), dataset.n)
 
 
 def quasi_hessian(u, dataset: Dataset) -> sp.csr_matrix:
-    """Hessian of the quasi log-likelihood: off-diagonal (k, k') counts broken
-    co-occurrences weighted by ``exp(u_k + u_k')/(exp(u_k) + exp(u_k'))**2``.
-    Outcome-independent for full observations."""
+    """Hessian of the quasi log-likelihood (the marginal Hessian of the
+    broken pairs): off-diagonal (k, k') counts broken co-occurrences weighted
+    by ``exp(u_k + u_k')/(exp(u_k) + exp(u_k'))**2``. Outcome-independent for
+    full observations."""
     u = check_utilities(u, dataset.n)
-    n = dataset.n
-    pairs = broken_pairs(dataset)
-    if pairs.size == 0:
-        return sp.csr_matrix((n, n))
-    # |gap| keeps the weight bitwise symmetric in the pair orientation
-    q = np.exp(-np.abs(u[pairs[:, 0]] - u[pairs[:, 1]]))
-    w = q / (1.0 + q) ** 2
-    i, j = pairs[:, 0], pairs[:, 1]
-    off = sp.coo_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n, n)
-    ).tocsr()
-    # diagonal from the deduplicated off-diagonals: rows sum to zero exactly
-    # and the matrix depends on outcomes only through broken-pair multiplicities
-    diag = -np.asarray(off.sum(axis=1)).ravel()
-    return (off + sp.diags(diag)).tocsr()
+    return _hessian(u, _pair_block(dataset), dataset.n)
 
 
 @functools.lru_cache(maxsize=None)
@@ -251,19 +255,6 @@ def _bradley_terry_block(u, edges: np.ndarray, y: int) -> np.ndarray:
     return q / (1.0 + q) ** 2
 
 
-def _edge_groups(dataset: Dataset) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Observations grouped by (edge size, cutoff): (observation indices,
-    sorted edges (n_g, m)), groups in order of first appearance."""
-    index: dict[tuple[int, int], list[int]] = {}
-    for i, obs in enumerate(dataset.observations):
-        index.setdefault((obs.m, obs.cutoff), []).append(i)
-    return {
-        key: (np.asarray(idx, dtype=np.int64),
-              np.asarray([dataset.observations[i].edge for i in idx], dtype=np.int64))
-        for key, idx in index.items()
-    }
-
-
 def _check_prefix_budget(groups, cost, budget: int, what: str) -> None:
     """Raise :class:`EnumerationBudgetError` naming every observation whose
     per-edge prefix count ``cost(m, y)`` exceeds ``budget``."""
@@ -280,12 +271,15 @@ def _check_prefix_budget(groups, cost, budget: int, what: str) -> None:
         )
 
 
-def _pair_weights(u, groups, block=_expected_hessian_block):
-    """Per-edge pair weights ``(i, j, w, obs)`` over :func:`_edge_groups`:
-    items i and j, weight w and observation index of every item pair of every
-    edge, from ``block``."""
+def _pair_weights(u, groups, block=_expected_hessian_block, sort: bool = True):
+    """Per-edge pair weights ``(i, j, w, obs)`` over the (m, y) groups of
+    :func:`grouped_rankings`: items i and j, weight w and observation index
+    of every position pair of every edge, from ``block(u, edges, y)``. Edges
+    are the sorted rankings, or the rankings themselves when ``sort`` is
+    False (the observed Hessian depends on ranking order)."""
     i, j, w, obs = [], [], [], []
-    for (m, y), (idx, edges) in groups.items():
+    for (m, y), (idx, rankings) in groups.items():
+        edges = np.sort(rankings, axis=1) if sort else rankings
         pairs = _pairs(m)
         i.append(edges[:, pairs[:, 0]].ravel())
         j.append(edges[:, pairs[:, 1]].ravel())
@@ -300,7 +294,7 @@ def _pair_weights(u, groups, block=_expected_hessian_block):
 def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6):
     """Pair weights of the expected marginal Hessian's per-edge blocks, after
     the per-edge prefix budget check."""
-    groups = _edge_groups(dataset)
+    groups = grouped_rankings(dataset)
     _check_prefix_budget(groups, _perm_count, max_prefixes_per_edge, "expected-Hessian")
     return _pair_weights(u, groups)
 
@@ -326,7 +320,7 @@ def expected_marginal_hessian(u, dataset: Dataset, max_prefixes_per_edge: int = 
     """
     u = check_utilities(u, dataset.n)
     i, j, w, _ = _expected_pair_weights(u, dataset, max_prefixes_per_edge)
-    return sp.csr_matrix(-_laplacian(dataset.n, i, j, w))
+    return _sparse_hessian(dataset.n, i, j, w)
 
 
 def expected_marginal_hessian_mc(u, dataset: Dataset, n_samples: int = 10**4, rng=None):

@@ -52,10 +52,6 @@ def center(u) -> np.ndarray:
     return u - u.mean()
 
 
-def is_identified(u, tol: float = 1e-9) -> bool:
-    return abs(float(np.sum(u))) <= tol
-
-
 @dataclass(frozen=True)
 class Observation:
     """One multiway comparison: a ranking of an edge plus a top-``y`` cutoff.
@@ -226,45 +222,43 @@ def broken_pairs(dataset: Dataset) -> np.ndarray:
     """(n_pairs, 2) winner/loser array from full-breaking every observation:
     the rows of :func:`full_breaking`, concatenated in observation order.
 
-    Observations are grouped by (edge size, cutoff); each group fills its rows
+    Each (edge size, cutoff) group of :func:`grouped_rankings` fills its rows
     from one (winner position, loser position) template.
     """
-    observations = dataset.observations
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, obs in enumerate(observations):
-        groups.setdefault((len(obs.ranking), obs.cutoff), []).append(i)
-    counts = np.zeros(len(observations), dtype=np.int64)
+    groups = grouped_rankings(dataset)
     templates = {}
-    for (m, y), idx in groups.items():
+    counts = np.zeros(len(dataset), dtype=np.int64)
+    for (m, y), (idx, _) in groups.items():
         win, lose = np.triu_indices(m, 1)  # j < t, j-major as in full_breaking
-        keep = win < min(y, m - 1)
+        keep = win < y  # winners inside the cutoff (win <= m - 2 always)
         templates[m, y] = win[keep], lose[keep]
         counts[idx] = keep.sum()
     starts = np.cumsum(counts) - counts
     pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
-    for (m, y), idx in groups.items():
+    for (m, y), (idx, rankings) in groups.items():
         win, lose = templates[m, y]
-        rankings = np.asarray([observations[i].ranking for i in idx], dtype=np.int64)
         rows = starts[idx][:, None] + np.arange(win.size)
         pairs[rows, 0] = rankings[:, win]
         pairs[rows, 1] = rankings[:, lose]
     return pairs
 
 
-def grouped_rankings(dataset: Dataset) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Group observations by edge size: m -> (rankings (n_m, m), cutoffs (n_m,)).
+def grouped_rankings(dataset: Dataset) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Group observations by (edge size m, cutoff y), in order of first
+    appearance: (m, y) -> (observation indices (n_g,), rankings (n_g, m)).
 
-    Vectorized consumers (likelihood, MM fitters, variance sums) iterate these
-    groups instead of per-observation Python loops.
+    The one grouping every vectorized consumer iterates (likelihood engine,
+    pair breaking, Hessians, variance sums); sorted edges are
+    ``np.sort(rankings, axis=1)``.
     """
-    buckets: dict[int, tuple[list, list]] = {}
-    for obs in dataset.observations:
-        rk, cut = buckets.setdefault(obs.m, ([], []))
+    buckets: dict[tuple[int, int], tuple[list, list]] = {}
+    for i, obs in enumerate(dataset.observations):
+        idx, rk = buckets.setdefault((len(obs.ranking), obs.cutoff), ([], []))
+        idx.append(i)
         rk.append(obs.ranking)
-        cut.append(obs.cutoff)
     return {
-        m: (np.asarray(rk, dtype=np.int64), np.asarray(cut, dtype=np.int64))
-        for m, (rk, cut) in buckets.items()
+        key: (np.asarray(idx, dtype=np.int64), np.asarray(rk, dtype=np.int64))
+        for key, (idx, rk) in buckets.items()
     }
 
 

@@ -1,0 +1,24 @@
+"""Hypothesis strategies shared by the property tests."""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import strategies as st
+
+from plrank import Dataset, Observation
+
+
+@st.composite
+def cutoff_datasets(draw, max_items=8, max_m=6, max_obs=5):
+    """Datasets with mixed edge sizes 2..max_m and random cutoffs."""
+    n = draw(st.integers(2, max_items))
+    observations = []
+    for _ in range(draw(st.integers(1, max_obs))):
+        m = draw(st.integers(2, min(max_m, n)))
+        ranking = draw(st.permutations(range(n)))[:m]
+        observations.append(Observation(tuple(ranking), draw(st.integers(1, m))))
+    return Dataset(n, observations)
+
+
+def utilities(n, bound=5.0):
+    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)

@@ -3,23 +3,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
+from strategies import cutoff_datasets
 
 from plrank import (
+    ESTIMATOR_CUTOFFS,
+    ESTIMATOR_KINDS,
     Dataset,
     FitConfig,
     NonexistenceError,
     Observation,
+    batch_marginal_inverse_variance,
+    batch_qmle_inverse_variance,
     center,
+    estimators,
     existence_check,
+    expected_marginal_hessian,
     fit,
     fit_marginal_mle,
     fit_qmle,
     marginal_log_likelihood,
     marginal_score,
+    quasi_hessian,
     quasi_log_likelihood,
     quasi_score,
     sample_rankings,
+    spectral_diagnostics,
+    standard_errors,
 )
 from plrank.estimators import _mm_marginal_sweep, existence_check_bruteforce
 from plrank.likelihood import _marginal_loglik_from_groups
@@ -35,6 +47,18 @@ def random_connected_dataset(rng, n, extra_edges, sizes=(2, 3, 4)):
         edges.append(tuple(sorted(rng.choice(n, size=m, replace=False).tolist())))
     u_star = center(rng.uniform(-0.5, 0.5, n))
     return sample_rankings(u_star, edges, rng)
+
+
+def bradley_terry_mm(ds, u):
+    """The textbook Bradley-Terry MM iterate on the broken pairs (unshifted)."""
+    pairs = broken_pairs(ds)
+    wins = np.bincount(pairs[:, 0], minlength=ds.n).astype(float)
+    s = np.exp(u)
+    inv = 1.0 / (s[pairs[:, 0]] + s[pairs[:, 1]])
+    denom = np.zeros(ds.n)
+    np.add.at(denom, pairs[:, 0], inv)
+    np.add.at(denom, pairs[:, 1], inv)
+    return center(np.log(wins) - np.log(denom))
 
 
 class TestExistence:
@@ -164,21 +188,27 @@ class TestMMBehavior:
 
     def test_qmle_sweep_monotone(self, small_dataset):
         _, ds = small_dataset
-        pairs = broken_pairs(ds)
-        n = ds.n
-        wins = np.bincount(pairs[:, 0], minlength=n).astype(float)
-        u = np.zeros(n)
+        u = np.zeros(ds.n)
         prev = quasi_log_likelihood(u, ds)
         for _ in range(60):
-            s = np.exp(u)
-            inv = 1.0 / (s[pairs[:, 0]] + s[pairs[:, 1]])
-            denom = np.zeros(n)
-            np.add.at(denom, pairs[:, 0], inv)
-            np.add.at(denom, pairs[:, 1], inv)
-            u = center(np.log(wins) - np.log(denom))
+            u = bradley_terry_mm(ds, u)
             cur = quasi_log_likelihood(u, ds)
             assert cur >= prev - 1e-10
             prev = cur
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_qmle_is_bradley_terry_mm(self, data):
+        ds = data.draw(cutoff_datasets())
+        # a full ranking and its reverse make every item win and lose: the QMLE exists
+        both = [Observation(tuple(range(ds.n))), Observation(tuple(range(ds.n))[::-1])]
+        ds = Dataset(ds.n, ds.observations + both)
+        res = fit(ds, "qmle")
+        u = np.zeros(ds.n)
+        for _ in range(res.iterations):
+            u = bradley_terry_mm(ds.with_cutoff("full"), u)
+        assert res.converged
+        np.testing.assert_allclose(res.estimate, u, rtol=0, atol=1e-12)
 
     def test_initialization_invariance(self, small_dataset):
         _, ds = small_dataset
@@ -236,3 +266,50 @@ class TestMMBehavior:
         back = FitResult.from_dict(res.to_dict())
         assert np.array_equal(back.estimate, res.estimate)
         assert back.estimator == res.estimator and back.y_override == res.y_override
+
+
+class TestEstimatorTable:
+    """fit, standard_errors and spectral_diagnostics take each kind's cutoff
+    from the one table, ESTIMATOR_CUTOFFS."""
+
+    @staticmethod
+    def _check_kind(ds, kind, spectral=True):
+        y = ESTIMATOR_CUTOFFS[kind]
+        effective = ds if y is None else ds.with_cutoff(y)
+        fitted = fit(ds, kind)
+        if kind == "qmle":
+            reference = fit_qmle(effective)
+            rho2, cost = batch_qmle_inverse_variance(fitted.estimate, effective)
+            neg_hessian = -quasi_hessian(np.zeros(ds.n), effective).toarray()
+        else:
+            reference = fit_marginal_mle(effective)
+            rho2, cost = batch_marginal_inverse_variance(fitted.estimate, effective)
+            neg_hessian = -expected_marginal_hessian(np.zeros(ds.n), effective).toarray()
+        assert fitted.estimator == kind
+        assert np.array_equal(fitted.estimate, reference.estimate)
+        report = standard_errors(fitted, ds)
+        assert np.array_equal(report.sigma, 1.0 / np.sqrt(rho2))
+        assert report.theta_cost == cost
+        assert np.array_equal(report.n_k, effective.degrees())
+        if not spectral:
+            return
+        inv_sqrt = 1.0 / np.sqrt(np.diag(neg_hessian))
+        want = np.linalg.eigvalsh(neg_hessian * inv_sqrt[:, None] * inv_sqrt[None, :])
+        got = spectral_diagnostics(ds, estimator=kind, leave_one_out=False).eigenvalues
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.fixture
+    def stored_cutoffs(self, small_dataset):
+        _, ds = small_dataset
+        return Dataset(ds.n, [o.with_cutoff(2 + i % 3) for i, o in enumerate(ds.observations)])
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_kind_uses_table_cutoff(self, stored_cutoffs, kind):
+        self._check_kind(stored_cutoffs, kind)
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_changed_table_entry_moves_every_consumer(self, stored_cutoffs, kind, monkeypatch):
+        monkeypatch.setitem(estimators.ESTIMATOR_CUTOFFS, kind, 3)
+        # the QMLE's expected Hessian (Bradley-Terry weights on every pair of
+        # an edge) is defined for full rankings only
+        self._check_kind(stored_cutoffs, kind, spectral=kind != "qmle")

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import expected_marginal_hessian_loop
+from strategies import cutoff_datasets, utilities
 
 from plrank import (
     Dataset,
     Observation,
+    broken_pairs,
     center,
     expected_marginal_hessian,
     expected_marginal_hessian_mc,
@@ -229,22 +231,6 @@ class TestExpectedHessian:
         assert err.value.per_edge == {0: math.factorial(9)}
 
 
-@st.composite
-def cutoff_datasets(draw, max_items=8, max_m=6, max_obs=5):
-    """Datasets with mixed edge sizes 2..max_m and random cutoffs."""
-    n = draw(st.integers(2, max_items))
-    observations = []
-    for _ in range(draw(st.integers(1, max_obs))):
-        m = draw(st.integers(2, min(max_m, n)))
-        ranking = draw(st.permutations(range(n)))[:m]
-        observations.append(Observation(tuple(ranking), draw(st.integers(1, m))))
-    return Dataset(n, observations)
-
-
-def utilities(n, bound=5.0):
-    return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
-
-
 class TestBatchedExpectedHessian:
     """The per-(m, y) batched enumeration against the per-prefix loop."""
 
@@ -279,6 +265,31 @@ class TestBatchedExpectedHessian:
         assert np.all(np.isfinite(got))
         want = expected_marginal_hessian(u, ds).toarray()
         np.testing.assert_allclose(got[: ds.n, : ds.n], want, rtol=1e-12, atol=0)
+
+
+class TestOneEngine:
+    """The QMLE's objective is the marginal engine on the broken pairs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_quasi_is_marginal_of_broken_pairs(self, data):
+        ds = data.draw(cutoff_datasets())
+        u = data.draw(utilities(ds.n))
+        pairs = Dataset(ds.n, [Observation((w, l), 1) for w, l in broken_pairs(ds).tolist()])
+        assert quasi_log_likelihood(u, ds) == pytest.approx(marginal_log_likelihood(u, pairs), rel=1e-12, abs=0)
+        np.testing.assert_allclose(quasi_score(u, ds), marginal_score(u, pairs), rtol=1e-12, atol=0)
+        np.testing.assert_allclose(
+            quasi_hessian(u, ds).toarray(), marginal_hessian(u, pairs).toarray(), rtol=1e-12, atol=0
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_marginal_hessian_laplacian_structure(self, data):
+        ds = data.draw(cutoff_datasets())
+        h = marginal_hessian(data.draw(utilities(ds.n)), ds).toarray()
+        assert np.array_equal(h, h.T)
+        assert np.all(np.abs(h.sum(axis=1)) <= 1e-12 * np.abs(np.diag(h)))
+        assert np.all(h[~np.eye(ds.n, dtype=bool)] >= 0)
 
 
 class TestFisherIdentity:
