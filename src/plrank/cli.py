@@ -80,7 +80,7 @@ def _cmd_graph_diag(args) -> int:
     if bool(args.data) == bool(args.generate):
         raise CliError("need exactly one of --data or --generate", CONFIG_ERROR)
     if args.data:
-        dataset = _load_dataset(args.data)
+        source, n = _load_dataset(args.data), None
     else:
         try:
             gen = json.loads(Path(args.generate).read_text())
@@ -91,11 +91,7 @@ def _cmd_graph_diag(args) -> int:
             design = harness.resolve_design(gen["design"], n)
         except (KeyError, ValueError) as exc:
             raise CliError(f"bad design config: {exc}", CONFIG_ERROR)
-        rng = np.random.default_rng(args.seed)
-        edges = harness.sample_design_edges(design, n, rng)
-        from .model import Dataset, Observation
-
-        dataset = Dataset(n, [Observation(tuple(sorted(e))) for e in edges])
+        source = harness.sample_design_edges(design, n, np.random.default_rng(args.seed))
     u = None
     if args.fit:
         try:
@@ -105,7 +101,8 @@ def _cmd_graph_diag(args) -> int:
         u = np.asarray(fitted.estimate, dtype=float)
     try:
         diag = graph_diagnostics(
-            dataset,
+            source,
+            n=n,
             u=u,
             estimator=args.estimator,
             exact_cheeger=args.exact_cheeger,

@@ -36,8 +36,9 @@ class NonexistenceError(RuntimeError):
 
     def __init__(self, partition):
         self.partition = sorted(partition)
+        shown = ", ".join(map(str, self.partition[:20])) + (", ..." if len(self.partition) > 20 else "")
         super().__init__(
-            f"no finite maximizer: items {self.partition} are never beaten from outside"
+            f"no finite maximizer: items [{shown}] ({len(self.partition)} in all) are never beaten from outside"
         )
 
 

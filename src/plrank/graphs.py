@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .estimators import apply_estimator_cutoff
 from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_weights
-from .model import Dataset, Edge, Observation, check_utilities, grouped_rankings
+from .model import Dataset, Edge, _edge_dataset, broken_pairs, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
@@ -242,10 +244,9 @@ def sample_block_model(config: BlockModelConfig, rng: np.random.Generator) -> li
 
 
 def degree_stats(edges, n: int):
-    """(per-vertex degree vector, min degree, max degree), with multiplicity."""
-    deg = np.zeros(n, dtype=np.int64)
-    for e in edges:
-        deg[list(e)] += 1
+    """(per-vertex degree vector, min degree, max degree), with multiplicity;
+    ``edges`` is an edge list or a Dataset."""
+    deg = _as_dataset(edges, n).degrees()
     return deg, int(deg.min()), int(deg.max())
 
 
@@ -260,10 +261,12 @@ def shared_edges(edges, n: int) -> dict[tuple[int, int], int]:
 
 def edge_sharing_ratio(edges, n: int) -> float:
     """max over ordered vertex pairs of N_jk / N_j (correlation strength of
-    the per-item estimates; <= 1/min-degree on simple pairwise graphs)."""
-    deg, _, _ = degree_stats(edges, n)
+    the per-item estimates; <= 1/min-degree on simple pairwise graphs);
+    ``edges`` is an edge list or a Dataset."""
+    dataset = _as_dataset(edges, n)
+    deg = dataset.degrees()
     best = 0.0
-    for (j, k), njk in shared_edges(edges, n).items():
+    for (j, k), njk in shared_edges(dataset.edges, n).items():
         best = max(best, njk / deg[j], njk / deg[k])
     return best
 
@@ -275,19 +278,11 @@ def boundary_edges(edges, subset) -> list[Edge]:
 
 
 def is_connected(edges, n: int) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e in edges:
-        r = find(e[0])
-        for v in e[1:]:
-            parent[find(v)] = r
-    return len({find(v) for v in range(n)}) == 1
+    """Whether the hypergraph is connected; ``edges`` is an edge list or a
+    Dataset (every broken pair's top item meets each item of its edge)."""
+    pairs = broken_pairs(_as_dataset(edges, n))
+    adj = scipy.sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    return connected_components(adj, directed=False)[0] == 1
 
 
 def modified_cheeger(edges, n: int, cap: int = DEFAULT_CHEEGER_CAP, chunk: int = 1 << 12) -> float:
@@ -402,12 +397,8 @@ def spectral_diagnostics(
 
 
 def _as_dataset(dataset_or_edges, n=None) -> Dataset:
-    if isinstance(dataset_or_edges, Dataset):
-        return dataset_or_edges
-    edges = [tuple(sorted(e)) for e in dataset_or_edges]
-    if n is None:
-        n = 1 + max(max(e) for e in edges)
-    return Dataset(n, [Observation(e) for e in edges])
+    """A Dataset as is; an edge list as full observations of its edges."""
+    return dataset_or_edges if isinstance(dataset_or_edges, Dataset) else _edge_dataset(dataset_or_edges, n)
 
 
 # ---------------------------------------------------------------------------
@@ -556,22 +547,21 @@ def graph_diagnostics(
 ) -> GraphDiagnostics:
     """One-call bundle of the topology quantities governing estimator quality."""
     dataset = _as_dataset(dataset_or_edges, n)
-    edges = dataset.edges
-    deg, dmin, dmax = degree_stats(edges, dataset.n)
+    _, dmin, dmax = degree_stats(dataset, dataset.n)
     out = GraphDiagnostics(
         n=dataset.n,
-        n_edges=len(edges),
+        n_edges=len(dataset),
         degree_min=dmin,
         degree_max=dmax,
-        r_ratio=edge_sharing_ratio(edges, dataset.n) if edges else 0.0,
-        connected=is_connected(edges, dataset.n),
+        r_ratio=edge_sharing_ratio(dataset, dataset.n) if len(dataset) else 0.0,
+        connected=is_connected(dataset, dataset.n),
     )
     if spectral and dmin > 0:
         spectrum = spectral_diagnostics(dataset, u, estimator)
         out.s_gap = spectrum.s_gap
         out.lambda2_leave = spectrum.lambda2_leave
     if exact_cheeger:
-        out.cheeger = modified_cheeger(edges, dataset.n, cap=cheeger_cap)
+        out.cheeger = modified_cheeger(dataset.edges, dataset.n, cap=cheeger_cap)
     if chain_bound:
-        out.gamma_re = expansion_chain_bound(edges, dataset.n, cap=chain_cap)
+        out.gamma_re = expansion_chain_bound(dataset.edges, dataset.n, cap=chain_cap)
     return out

@@ -30,7 +30,7 @@ from .graphs import (
     sample_uniform_edges,
 )
 from .inference import standard_errors
-from .model import DataFormatError, Dataset, Observation, center, sample_rankings
+from .model import DataFormatError, Dataset, Observation, center, grouped_rankings, sample_rankings
 
 EXPERIMENT_KINDS = ("consistency", "coverage", "heterogeneity")
 
@@ -681,9 +681,8 @@ def rank_report(fitted, inference_report, dataset: Dataset, top_k: int = 10, lab
     """Top items by estimated utility: rank, id, race count, average observed
     place, estimate, and confidence bounds. Ties break by ascending item id."""
     place_sum = np.zeros(dataset.n)
-    for obs in dataset.observations:
-        for r, item in enumerate(obs.ranking, start=1):
-            place_sum[item] += r
+    for (m, _), (_, rankings) in grouped_rankings(dataset).items():
+        place_sum += np.bincount(rankings.ravel(), np.tile(np.arange(1.0, m + 1), len(rankings)), dataset.n)
     n_k = inference_report.n_k
     order = sorted(range(dataset.n), key=lambda k: (-fitted.estimate[k], k))
     rows = []

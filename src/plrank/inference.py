@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, apply_estimator_cutoff
-from .likelihood import _check_prefix_budget, _perm_count, _prefixes
+from .likelihood import _check_prefix_budget, _prefixes
 from .model import Dataset, check_utilities, grouped_rankings
 
 #: Default cap on the enumerated prefixes of any one edge in an inference call.
@@ -102,7 +102,7 @@ def marginal_inverse_variance(u, dataset: Dataset, k: int) -> float:
 
 
 def _prefix_cost(m: int, cutoff: int) -> int:
-    return sum(_perm_count(m, d) for d in range(1, min(cutoff, m - 1) + 1))
+    return sum(math.perm(m, d) for d in range(1, min(cutoff, m - 1) + 1))
 
 
 def batch_marginal_inverse_variance(

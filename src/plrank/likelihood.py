@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import scipy.sparse as sp
 
-from .model import Dataset, broken_pairs, check_utilities, grouped_rankings
+from .model import Dataset, _redraw, broken_pairs, check_utilities, grouped_rankings
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -233,7 +234,7 @@ def _expected_hessian_block(u, edges: np.ndarray, y: int, chunk: int = 1 << 16) 
     vals = u[edges]
     a = np.exp(vals - vals.max(axis=1, keepdims=True))
     out = np.zeros((edges.shape[0], len(pairs)))
-    rows = max(1, chunk // max(_perm_count(m, depth - 1), len(pairs)))
+    rows = max(1, chunk // max(math.perm(m, depth - 1), len(pairs)))
     for lo in range(0, edges.shape[0], rows):
         ac = a[lo:lo + rows]
         prob = np.ones((ac.shape[0], 1))
@@ -295,7 +296,7 @@ def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10*
     """Pair weights of the expected marginal Hessian's per-edge blocks, after
     the per-edge prefix budget check."""
     groups = grouped_rankings(dataset)
-    _check_prefix_budget(groups, _perm_count, max_prefixes_per_edge, "expected-Hessian")
+    _check_prefix_budget(groups, math.perm, max_prefixes_per_edge, "expected-Hessian")
     return _pair_weights(u, groups)
 
 
@@ -326,31 +327,19 @@ def expected_marginal_hessian(u, dataset: Dataset, max_prefixes_per_edge: int = 
 def expected_marginal_hessian_mc(u, dataset: Dataset, n_samples: int = 10**4, rng=None):
     """Monte Carlo fallback: average of outcome Hessians with entrywise
     standard errors. Returns (mean, se) as dense arrays."""
-    from .model import sample_rankings
-
     u = check_utilities(u, dataset.n)
     rng = np.random.default_rng(rng)
-    edges = dataset.edges
-    cutoffs = [obs.cutoff for obs in dataset.observations]
+    edges = Dataset.from_blocks(dataset.n, {key: (idx, np.sort(rk, axis=1)) for key, (idx, rk) in grouped_rankings(dataset).items()})
     acc = np.zeros((dataset.n, dataset.n))
     acc2 = np.zeros((dataset.n, dataset.n))
     for _ in range(n_samples):
-        sampled = sample_rankings(u, edges, rng)
-        sampled = Dataset(dataset.n, [o.with_cutoff(y) for o, y in zip(sampled.observations, cutoffs)])
-        hh = marginal_hessian(u, sampled).toarray()
+        hh = marginal_hessian(u, _redraw(u, edges, rng)).toarray()
         acc += hh
         acc2 += hh**2
     mean = acc / n_samples
     var = np.maximum(acc2 / n_samples - mean**2, 0.0)
     se = np.sqrt(var / n_samples)
     return mean, se
-
-
-def _perm_count(m: int, y: int) -> int:
-    out = 1
-    for t in range(m, m - y, -1):
-        out *= t
-    return out
 
 
 def hessian_to_coo_csv(h, path) -> None:

@@ -7,6 +7,10 @@ observation carries a cutoff ``y``: only the top-``y`` positions are treated
 as observed, the rest matter only through set membership. Utilities are plain
 length-``n`` float arrays; the model is shift-invariant and estimates are
 identified by the sum-to-zero convention (see :func:`center`).
+
+A :class:`Dataset` stores only its (edge size, cutoff) blocks of rankings
+(:func:`grouped_rankings`); its ``observations`` are a list built on each
+access, so mutating that list does not change the dataset.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import csv
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -94,54 +98,104 @@ class Observation:
     def with_cutoff(self, y) -> "Observation":
         """Copy with the cutoff replaced by ``min(y, m)`` ("full" resets it);
         ``self`` when the cutoff is unchanged (observations are immutable)."""
-        m = len(self.ranking)
-        cutoff = m if y == "full" or y is None else min(int(y), m)
-        if cutoff == self.cutoff:
-            return self
-        if not 1 <= cutoff <= m:
-            return Observation(self.ranking, cutoff)  # validates (-1 means full)
-        # the ranking is already validated: set the fields without re-checking
-        out = object.__new__(Observation)
-        object.__setattr__(out, "ranking", self.ranking)
-        object.__setattr__(out, "cutoff", cutoff)
-        return out
+        cutoff = _resolve_cutoff(y, self.m)
+        return self if cutoff == self.cutoff else Observation(self.ranking, cutoff)
 
 
-@dataclass
+def _resolve_cutoff(y, m: int) -> int:
+    """The cutoff ``y`` ("full" or None: no cutoff) gives an m-item edge."""
+    return m if y == "full" or y is None else min(int(y), m)
+
+
 class Dataset:
     """``n`` items plus independent comparison observations.
 
     The comparison hypergraph is implied by the observation edges; repeated
     edges are legitimate (independent comparisons) and count with multiplicity.
+    A dataset stores only its (edge size, cutoff) blocks, which
+    :func:`grouped_rankings` returns. ``observations`` and ``edges`` are lists
+    built on each access, so changing them does not change the dataset.
     """
 
-    n: int
-    observations: list[Observation] = field(default_factory=list)
+    def __init__(self, n: int, observations=()):
+        buckets: dict[tuple[int, int], tuple[list, list]] = {}
+        for i, obs in enumerate(observations):
+            idx, rankings = buckets.setdefault((obs.m, obs.cutoff), ([], []))
+            idx.append(i)
+            rankings.append(obs.ranking)
+        self.n, self._blocks = int(n), _checked_blocks(n, buckets)
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be positive")
-        for obs in self.observations:
-            if max(obs.ranking) >= self.n:
-                raise ValueError(f"observation {obs.ranking} references item >= n={self.n}")
+    @classmethod
+    def from_blocks(cls, n: int, blocks) -> "Dataset":
+        """Dataset of (m, y) -> (observation indices, rankings (n_g, m))
+        blocks, in any group and row order; the indices number the
+        observations 0..N-1. Raises the ``ValueError`` that ``Observation``
+        and ``Dataset(n, observations)`` raise on the same rankings."""
+        dataset = cls.__new__(cls)
+        dataset.n, dataset._blocks = int(n), _checked_blocks(n, blocks)
+        return dataset
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return sum(len(idx) for idx, _ in self._blocks.values())
+
+    def _rows(self, sort: bool) -> list[tuple[int, tuple]]:
+        """(cutoff, items) of every observation in order; items sorted when ``sort``."""
+        out = [None] * len(self)
+        for (_, y), (idx, rankings) in self._blocks.items():
+            for i, row in zip(idx.tolist(), (np.sort(rankings, axis=1) if sort else rankings).tolist()):
+                out[i] = y, tuple(row)
+        return out
+
+    @property
+    def observations(self) -> list[Observation]:
+        return [Observation(ranking, y) for y, ranking in self._rows(sort=False)]
 
     @property
     def edges(self) -> list[Edge]:
-        return [obs.edge for obs in self.observations]
+        return [edge for _, edge in self._rows(sort=True)]
 
     def degrees(self) -> np.ndarray:
         """Per-item comparison counts N_k."""
-        items = [k for obs in self.observations for k in obs.ranking]
-        return np.bincount(np.asarray(items, dtype=np.int64), minlength=self.n)
+        deg = np.zeros(self.n, dtype=np.int64)
+        for _, rankings in self._blocks.values():
+            deg += np.bincount(rankings.ravel(), minlength=self.n)
+        return deg
 
     def with_cutoff(self, y) -> "Dataset":
-        """New dataset with every cutoff replaced (``y`` int or ``"full"``)."""
-        if y in ("full", None) and all(obs.is_full for obs in self.observations):
+        """Dataset with every cutoff replaced (``y`` int or ``"full"``) as in
+        :meth:`Observation.with_cutoff`; ``self`` when no cutoff changes."""
+        if all(_resolve_cutoff(y, m) == old for m, old in self._blocks):
             return self
-        return Dataset(self.n, [obs.with_cutoff(y) for obs in self.observations])
+        merged: dict[tuple[int, int], list] = {}
+        for (m, _), block in self._blocks.items():
+            merged.setdefault((m, _resolve_cutoff(y, m)), []).append(block)
+        return Dataset.from_blocks(self.n, {key: [np.concatenate(a) for a in zip(*parts)] for key, parts in merged.items()})
+
+
+def _checked_blocks(n: int, blocks) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Validated read-only copies of the blocks, ordered as :func:`grouped_rankings` says."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    out = {}
+    for (m, y), (idx, rankings) in blocks.items():
+        if len(idx) == 0:
+            continue
+        order = np.argsort(idx, kind="stable")
+        idx, rankings = np.asarray(idx, dtype=np.int64)[order], np.asarray(rankings, dtype=np.int64).reshape(len(idx), m)[order]
+        ordered = np.sort(rankings, axis=1)
+        bad = np.flatnonzero((ordered[:, 1:] == ordered[:, :-1]).any(axis=1) | (ordered[:, :1] < 0).any(axis=1))
+        if m < 2 or not 1 <= y <= m or bad.size:
+            Observation(tuple(rankings[bad[0] if bad.size else 0].tolist()), y)  # raises the row's error
+            raise ValueError(f"cutoff {y} outside [1, {m}]")  # y = -1, which Observation reads as full
+        bad = np.flatnonzero(ordered[:, -1] >= n)
+        if bad.size:
+            raise ValueError(f"observation {tuple(rankings[bad[0]].tolist())} references item >= n={n}")
+        idx.flags.writeable = rankings.flags.writeable = False
+        out[int(m), int(y)] = idx, rankings
+    every = np.sort(np.concatenate([np.empty(0, np.int64), *(idx for idx, _ in out.values())]))
+    if not np.array_equal(every, np.arange(len(every))):
+        raise ValueError("observation indices must number the observations 0..N-1, each once")
+    return dict(sorted(out.items(), key=lambda group: group[1][0][0]))
 
 
 def _suffix_logsumexp(values: np.ndarray) -> np.ndarray:
@@ -170,21 +224,55 @@ def sample_ranking(u, edge, rng: np.random.Generator) -> Ranking:
     Equivalent to sequentially picking each next item with probability
     proportional to exp(u); implemented as a Gumbel-max argsort.
     """
-    return _draw_ranking(check_utilities(u), tuple(edge), rng)
-
-
-def _draw_ranking(u: np.ndarray, edge: tuple, rng: np.random.Generator) -> Ranking:
+    u, edge = check_utilities(u), tuple(edge)
     keys = u[list(edge)] + rng.gumbel(size=len(edge))
-    order = np.argsort(-keys, kind="stable")
-    return tuple(edge[i] for i in order)
+    return tuple(edge[i] for i in np.argsort(-keys, kind="stable"))
 
 
 def sample_rankings(u, edges, rng: np.random.Generator, cutoff=None) -> "Dataset":
-    """Sample one observation per edge; ``cutoff`` as in ``with_cutoff``."""
+    """Sample one observation per edge; ``cutoff`` as in ``with_cutoff``.
+
+    Draws the same random numbers as a :func:`sample_ranking` call per edge,
+    in edge order, with one Gumbel vector for the whole call.
+    """
     u = check_utilities(u)
-    n = u.shape[0]
-    obs = [Observation(_draw_ranking(u, tuple(e), rng)).with_cutoff(cutoff) for e in edges]
-    return Dataset(n, obs)
+    return _redraw(u, _edge_dataset(edges, u.shape[0]), rng).with_cutoff(cutoff)
+
+
+def _edge_dataset(edges, n: int | None = None) -> Dataset:
+    """Full observations that rank each edge's items in the given order;
+    ``n`` defaults to one more than the largest item."""
+    edges = list(edges)
+    sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
+    blocks = {}
+    for m in dict.fromkeys(sizes.tolist()):
+        idx = np.flatnonzero(sizes == m)
+        blocks[m, m] = idx, np.array([edges[i] for i in idx.tolist()], dtype=np.int64).reshape(-1, m)
+    n = 1 + max(int(rankings.max()) for _, rankings in blocks.values()) if n is None else n
+    return Dataset.from_blocks(n, blocks)
+
+
+def _row_starts(blocks, width) -> tuple[np.ndarray, int]:
+    """First row of each observation, and the row count, when observations
+    of the (m, y) blocks take ``width(m, y)`` consecutive rows in order."""
+    widths = np.zeros(sum(len(idx) for idx, _ in blocks.values()), dtype=np.int64)
+    for (m, y), (idx, _) in blocks.items():
+        widths[idx] = width(m, y)
+    return np.cumsum(widths) - widths, int(widths.sum())
+
+
+def _redraw(u: np.ndarray, dataset: Dataset, rng: np.random.Generator) -> Dataset:
+    """``dataset`` with each ranking's items drawn again in model order,
+    cutoffs kept: one Gumbel key per position in observation order, and
+    each row sorted by descending utility plus key (as :func:`sample_ranking`)."""
+    groups = grouped_rankings(dataset)
+    starts, total = _row_starts(groups, lambda m, y: m)
+    gumbel = rng.gumbel(size=total)
+    blocks = {}
+    for (m, y), (idx, items) in groups.items():
+        keys = u[items] + gumbel[starts[idx][:, None] + np.arange(m)]
+        blocks[m, y] = idx, np.take_along_axis(items, np.argsort(-keys, axis=1, kind="stable"), axis=1)
+    return Dataset.from_blocks(dataset.n, blocks)
 
 
 def marginal_probability(u, edge, relative_order, max_size: int = MAX_ENUMERATION_SIZE) -> float:
@@ -226,40 +314,27 @@ def broken_pairs(dataset: Dataset) -> np.ndarray:
     from one (winner position, loser position) template.
     """
     groups = grouped_rankings(dataset)
-    templates = {}
-    counts = np.zeros(len(dataset), dtype=np.int64)
-    for (m, y), (idx, _) in groups.items():
+    starts, total = _row_starts(groups, lambda m, y: int((np.triu_indices(m, 1)[0] < y).sum()))
+    pairs = np.empty((total, 2), dtype=np.int64)
+    for (m, y), (idx, rankings) in groups.items():
         win, lose = np.triu_indices(m, 1)  # j < t, j-major as in full_breaking
         keep = win < y  # winners inside the cutoff (win <= m - 2 always)
-        templates[m, y] = win[keep], lose[keep]
-        counts[idx] = keep.sum()
-    starts = np.cumsum(counts) - counts
-    pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
-    for (m, y), (idx, rankings) in groups.items():
-        win, lose = templates[m, y]
-        rows = starts[idx][:, None] + np.arange(win.size)
-        pairs[rows, 0] = rankings[:, win]
-        pairs[rows, 1] = rankings[:, lose]
+        rows = starts[idx][:, None] + np.arange(keep.sum())
+        pairs[rows, 0] = rankings[:, win[keep]]
+        pairs[rows, 1] = rankings[:, lose[keep]]
     return pairs
 
 
 def grouped_rankings(dataset: Dataset) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
-    """Group observations by (edge size m, cutoff y), in order of first
-    appearance: (m, y) -> (observation indices (n_g,), rankings (n_g, m)).
+    """The dataset's stored blocks: (edge size m, cutoff y) -> (observation
+    indices (n_g,), rankings (n_g, m)), groups in order of first appearance,
+    rows in observation order, arrays read-only. Do not modify the dict.
 
     The one grouping every vectorized consumer iterates (likelihood engine,
     pair breaking, Hessians, variance sums); sorted edges are
     ``np.sort(rankings, axis=1)``.
     """
-    buckets: dict[tuple[int, int], tuple[list, list]] = {}
-    for i, obs in enumerate(dataset.observations):
-        idx, rk = buckets.setdefault((len(obs.ranking), obs.cutoff), ([], []))
-        idx.append(i)
-        rk.append(obs.ranking)
-    return {
-        key: (np.asarray(idx, dtype=np.int64), np.asarray(rk, dtype=np.int64))
-        for key, (idx, rk) in buckets.items()
-    }
+    return dataset._blocks
 
 
 # ---------------------------------------------------------------------------
@@ -273,14 +348,16 @@ def sidecar_path(path) -> Path:
 
 
 def save_dataset(dataset: Dataset, path) -> None:
-    path = Path(path)
+    groups = grouped_rankings(dataset)
+    starts, total = _row_starts(groups, lambda m, y: m)
+    rows = np.empty((total, 3), dtype=np.int64)  # obs_id, rank, item
+    for (m, _), (idx, rankings) in groups.items():
+        rows[starts[idx][:, None] + np.arange(m)] = np.stack(np.broadcast_arrays(idx[:, None], np.arange(1, m + 1), rankings), axis=2)
+    cutoffs = {str(i): y for (m, y), (idx, _) in groups.items() if y < m for i in idx.tolist()}
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["obs_id", "rank", "item"])
-        for i, obs in enumerate(dataset.observations):
-            for rank, item in enumerate(obs.ranking, start=1):
-                writer.writerow([i, rank, item])
-    cutoffs = {str(i): obs.cutoff for i, obs in enumerate(dataset.observations) if not obs.is_full}
+        writer.writerows(rows.tolist())
     with open(sidecar_path(path), "w") as f:
         json.dump({"n": dataset.n, "cutoffs": cutoffs}, f, indent=0, sort_keys=True)
 

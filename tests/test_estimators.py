@@ -244,6 +244,16 @@ class TestMMBehavior:
         with pytest.raises(NonexistenceError):
             fit_qmle(ds)
 
+    def test_nonexistence_message_is_short(self):
+        # items 0..29 each beat item 30 and form a cycle among themselves
+        obs = [Observation((k, 30)) for k in range(30)] + [Observation((k, (k + 1) % 30)) for k in range(30)]
+        with pytest.raises(NonexistenceError) as err:
+            fit_qmle(Dataset(31, obs))
+        assert err.value.partition == list(range(30))
+        message = str(err.value)
+        assert "items [0, 1, 2" in message and "19, ...] (30 in all)" in message and "20" not in message
+        assert len(message) < 150
+
     def test_non_convergence_flagged(self, small_dataset):
         _, ds = small_dataset
         res = fit_marginal_mle(ds, None, FitConfig(tol_grad_inf=1e-13, max_iter=2))

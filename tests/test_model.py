@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strategies import cutoff_datasets
 
 from plrank import (
     Dataset,
@@ -15,8 +18,10 @@ from plrank import (
     marginal_probability,
     pl_log_probability,
     sample_ranking,
+    sample_rankings,
     save_dataset,
 )
+from plrank.model import grouped_rankings
 
 
 def test_log_probability_symmetric_pair():
@@ -89,6 +94,18 @@ class TestSampler:
         hits = sum(sample_ranking(u, (0, 1, 2), rng)[0] == 0 for _ in range(draws))
         se = math.sqrt(p_true * (1 - p_true) / draws)
         assert abs(hits / draws - p_true) < 3 * se
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_batched_draws_equal_per_edge_draws(self, seed):
+        # interleaved sizes, unsorted items: one Gumbel vector in edge order
+        # consumes the stream as one sample_ranking call per edge
+        rng = np.random.default_rng(100 + seed)
+        u = rng.normal(size=9)
+        edges = [tuple(rng.permutation(9)[: rng.integers(2, 7)].tolist()) for _ in range(40)]
+        got = sample_rankings(u, edges, np.random.default_rng(seed), cutoff=2)
+        per_edge = np.random.default_rng(seed)
+        want = [Observation(sample_ranking(u, e, per_edge)).with_cutoff(2) for e in edges]
+        assert got.observations == want
 
     def test_chi_square_goodness_of_fit(self):
         from scipy.stats import chi2
@@ -252,3 +269,90 @@ class TestSerialization:
     def test_degrees(self):
         ds = Dataset(4, [Observation((0, 1, 2)), Observation((0, 1, 3))])
         assert ds.degrees().tolist() == [2, 2, 1, 1]
+
+
+def _blocks_equal(a, b):
+    return list(a) == list(b) and all(
+        np.array_equal(a[k][0], b[k][0]) and np.array_equal(a[k][1], b[k][1]) for k in a
+    )
+
+
+class TestStoredBlocks:
+    @settings(max_examples=80, deadline=None)
+    @given(ds=cutoff_datasets(max_obs=12))
+    def test_constructor_reproduces_blocks(self, ds):
+        again = Dataset(ds.n, ds.observations)
+        assert _blocks_equal(grouped_rankings(again), grouped_rankings(ds))
+        for idx, rankings in grouped_rankings(ds).values():
+            assert np.all(np.diff(idx) > 0)
+            assert not idx.flags.writeable and not rankings.flags.writeable
+
+    @settings(max_examples=80, deadline=None)
+    @given(ds=cutoff_datasets(max_obs=12))
+    def test_with_cutoff_matches_observations(self, ds):
+        # mixed stored cutoffs make several groups of one size merge
+        for y in (1, 2, 3, 4, 5, 6, "full"):
+            want = [o.with_cutoff(y) for o in ds.observations]
+            got = ds.with_cutoff(y)
+            assert got.observations == want
+            assert _blocks_equal(grouped_rankings(got), grouped_rankings(Dataset(ds.n, want)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(ds=cutoff_datasets(max_obs=12))
+    def test_degrees_and_edges(self, ds):
+        counts = np.zeros(ds.n, dtype=np.int64)
+        for o in ds.observations:
+            counts[list(o.ranking)] += 1
+        assert ds.degrees().tolist() == counts.tolist()
+        assert ds.edges == [tuple(sorted(o.ranking)) for o in ds.observations]
+        assert len(ds) == len(ds.observations)
+
+    def test_views_do_not_change_the_dataset(self):
+        ds = Dataset(4, [Observation((2, 0, 1), 2), Observation((3, 1))])
+        ds.observations.append(Observation((0, 3)))
+        ds.edges.clear()
+        assert len(ds) == 2 and ds.edges == [(0, 1, 2), (1, 3)]
+        with pytest.raises(ValueError):
+            grouped_rankings(ds)[3, 2][1][0, 0] = 3
+        assert ds.with_cutoff(2) is ds and ds.with_cutoff(5) is not ds
+
+    @pytest.mark.parametrize("n,ranking,cutoff", [
+        (3, (0, 3), 2),  # item >= n
+        (3, (0, -1), 2),  # negative item
+        (3, (1, 2, 1), 3),  # repeated item
+        (3, (1,), 1),  # 1-item edge
+        (3, (1, 2), 3),  # cutoff above m
+        (3, (1, 2), 0),  # cutoff below 1
+    ])
+    def test_block_validation_rejects_what_observations_reject(self, n, ranking, cutoff):
+        with pytest.raises(ValueError) as direct:
+            Dataset(n, [Observation((0, 1)), Observation(ranking, cutoff)])
+        with pytest.raises(ValueError) as blocks:
+            Dataset.from_blocks(n, {(2, 2): ([0], [[0, 1]]), (len(ranking), cutoff): ([1], [ranking])})
+        assert str(blocks.value) == str(direct.value)
+
+    def test_block_validation_rejects_bad_indices(self):
+        with pytest.raises(ValueError, match="observation indices"):
+            Dataset.from_blocks(3, {(2, 2): ([0, 2], [[0, 1], [1, 2]])})
+        with pytest.raises(ValueError, match="observation indices"):
+            Dataset.from_blocks(3, {(2, 2): ([0], [[0, 1]]), (2, 1): ([0], [[1, 2]])})
+
+    def test_from_blocks_orders_groups_and_rows(self):
+        ds = Dataset.from_blocks(4, {(3, 1): ([2, 1], [[3, 1, 0], [2, 0, 1]]), (2, 2): ([0], [[1, 3]])})
+        assert ds.observations == [Observation((1, 3)), Observation((2, 0, 1), 1), Observation((3, 1, 0), 1)]
+        assert list(grouped_rankings(ds)) == [(2, 2), (3, 1)]
+
+    def test_save_writes_blocks_in_observation_order(self, tmp_path):
+        ds = Dataset(5, [
+            Observation((3, 0, 2), 2),
+            Observation((1, 4)),
+            Observation((0, 1, 2, 4), 1),
+            Observation((4, 2, 1)),
+        ])
+        path = tmp_path / "data.csv"
+        save_dataset(ds, path)
+        rows = ["obs_id,rank,item", "0,1,3", "0,2,0", "0,3,2", "1,1,1", "1,2,4",
+                "2,1,0", "2,2,1", "2,3,2", "2,4,4", "3,1,4", "3,2,2", "3,3,1"]
+        assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
+        sidecar = '{\n"cutoffs": {\n"0": 2,\n"2": 1\n},\n"n": 5\n}'
+        assert (tmp_path / "data.json").read_text() == sidecar
