@@ -33,7 +33,7 @@ for estimator in ("full", "choice1", "choice2", "qmle"):
     result = fit(dataset, estimator)
     err = np.max(np.abs(result.estimate - u_star))
     print(f"{estimator:>7}: sup-norm error {err:.4f} "
-          f"({result.iterations} MM iterations, converged={result.converged})")
+          f"({result.iterations} iterations, converged={result.converged})")
 
 # The same machinery refuses degenerate data: make item 0 an all-winner.
 from plrank import Dataset, NonexistenceError, Observation

@@ -1,15 +1,15 @@
-"""Existence checking and MM fitting for all five estimator kinds.
+"""Existence checking and fixed-point fitting for all five estimator kinds.
 
 :data:`ESTIMATOR_CUTOFFS` is the one table from estimator kind to the cutoff
-it fits at. Every kind runs the same minorize-maximize loop (Hunter, Ann.
-Statist. 2004) on the likelihood engine's (edge size, cutoff) groups: the
-marginal kinds on the observations' rankings at their cutoffs, the QMLE on
-one (2, 1) group of fully broken pairs, whose marginal MLE it is (Azari
-Soufiani, Parkes & Xia, ICML 2014). One engine pass per iterate gives both
-the score for the stopping rule and the next MM denominator. Each sweep
-recenters to the sum-zero gauge, and the loop stops when the sup-norm of the
-score divided by the observation count drops below the tolerance, which
-certifies the estimating equations directly.
+it fits at. Every kind runs the same loop on the likelihood engine's (edge
+size, cutoff) groups: the marginal kinds on the observations' rankings at
+their cutoffs, the QMLE on one (2, 1) group of fully broken pairs, whose
+marginal MLE it is (Azari Soufiani, Parkes & Xia, ICML 2014). An iterate is
+Newman's step (JMLR 2023) on Plackett-Luce stages, or one MM step (Hunter,
+Ann. Statist. 2004) where Newman's would not help, both from one engine pass
+that also gives the score. Each iterate recenters to the sum-zero gauge, and
+the loop stops when the sup-norm of the score divided by the observation
+count drops below the tolerance, certifying the estimating equations.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def apply_estimator_cutoff(dataset: Dataset, estimator: str, y_override=None) ->
     return dataset if y is None else dataset.with_cutoff(y)
 
 
-def existence_check(dataset: Dataset) -> ExistenceResult:
+def existence_check(dataset: Dataset, pairs: np.ndarray | None = None) -> ExistenceResult:
     """Existence and uniqueness of the constrained maximizer.
 
     Builds the dominance digraph with an arc loser -> winner for every broken
@@ -117,9 +117,10 @@ def existence_check(dataset: Dataset) -> ExistenceResult:
     strongly connected, i.e. every nonempty proper item subset is beaten from
     outside at least once. On failure the reported partition is a condensation
     sink: a set of items never beaten from outside (runaway winners).
+    ``pairs``: the dataset's :func:`broken_pairs`, when the caller holds them.
     """
     n = dataset.n
-    pairs = broken_pairs(dataset)
+    pairs = broken_pairs(dataset) if pairs is None else pairs
     if n == 1:
         return ExistenceResult(True)
     if pairs.size == 0:
@@ -154,42 +155,59 @@ def existence_check_bruteforce(dataset: Dataset) -> bool:
     return True
 
 
-def _wins(groups, n: int) -> np.ndarray:
-    """Per-item count of observed positions (ranks inside the cutoff)."""
-    wins = np.zeros(n, dtype=np.int64)
-    for (_, y), (_, rankings) in groups.items():
-        wins += np.bincount(rankings[:, :y].ravel(), minlength=n)
-    return wins
+def _mm_step(u, wins, v, lose):
+    """MM: exp(u_k) <- W_k / (V_k + L_k), the wins over the sum of 1/S_j(old)
+    across every observed stage j that k takes part in."""
+    # scale of the scores is e^{-max u}; fold it back so u keeps its gauge
+    return np.log(wins) - np.log(v + lose) + u.max()
+
+
+def _newman_step(u, wins, v, lose):
+    """Newman: exp(u_k) <- sum over stages k wins of (1 - a_k/S_j) / sum over
+    stages k is chosen against of 1/S_j = (W - a V) / L; not finite where
+    rounding leaves W - a V <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(wins - np.exp(u - u.max()) * v) - np.log(lose) + u.max()
 
 
 def _mm_marginal_sweep(u, groups):
-    """One MM sweep; returns new utilities.
-
-    exp(u_k) <- W_k / sum_{i: k in T_i} sum_{j <= r_i(k) ^ y_i} 1 / S_j(old).
-    """
-    # scale of the scores is e^{-max u}; fold it back so u keeps its gauge
-    return np.log(_wins(groups, u.shape[0])) - np.log(_marginal_pass(u, groups)[1]) + u.max()
+    """One MM sweep; returns new utilities."""
+    _, v, lose = _marginal_pass(u, groups, work := {})
+    return _mm_step(u, work["wins"], v, lose)
 
 
 def _mm_fit(effective: Dataset, groups, kind: str, y_override, config: FitConfig | None) -> FitResult:
-    """MM on the engine groups of ``effective`` (its rankings, or its broken
-    pairs for the QMLE), after the existence check."""
+    """Fixed-point fit on the engine groups of ``effective`` (its rankings, or
+    its broken pairs for the QMLE), after the existence check. An iterate is
+    Newman's candidate if that is finite, its score sup-norm is below the
+    larger of the current and previous iterates' (the largest residual may
+    move between items), and it does not overshoot: its score lies nearer to
+    zero than to minus the current score (Newman's step flips the utility
+    difference of two items that mostly meet each other). Else one MM step."""
     config = config or FitConfig()
-    ok = existence_check(effective)
+    ok = existence_check(effective, groups[2, 1][1] if kind == "qmle" else None)
     if not ok:
         raise NonexistenceError(ok.failing_partition)
-    n_obs = len(effective)
-    log_wins = np.log(_wins(groups, effective.n))
-    u = _initial(config, effective.n)
-    work: dict = {}
-    score, denom = _marginal_pass(u, groups, work)
-    grad_inf = float(np.abs(score).max()) / n_obs
-    iterations = 0
-    while grad_inf > config.tol_grad_inf and iterations < config.max_iter:
-        u = center(log_wins - np.log(denom) + u.max())
+    n_obs, work = len(effective), {}
+
+    def evaluate(u):  # (u, score, V, L)
+        return (u, *_marginal_pass(u, groups, work))
+
+    def sup(score):
+        return float(np.abs(score).max()) / n_obs
+
+    state = evaluate(_initial(config, effective.n))
+    wins = work["wins"]
+    iterations, previous = 0, sup(state[1])
+    while (current := sup(state[1])) > config.tol_grad_inf and iterations < config.max_iter:
+        u, score, v, lose = state
         iterations += 1
-        score, denom = _marginal_pass(u, groups, work)
-        grad_inf = float(np.abs(score).max()) / n_obs
+        step = _newman_step(u, wins, v, lose)
+        state = evaluate(center(step)) if np.isfinite(step).all() else None
+        if state is None or not sup(state[1]) < min(max(current, previous), sup(state[1] + score)):
+            state = evaluate(center(_mm_step(u, wins, v, lose)))
+        previous = current
+    u, grad_inf = state[0], sup(state[1])
     return FitResult(
         estimate=u,
         estimator=kind,
@@ -202,8 +220,8 @@ def _mm_fit(effective: Dataset, groups, kind: str, y_override, config: FitConfig
 
 
 def fit_marginal_mle(dataset: Dataset, y_override=None, config: FitConfig | None = None) -> FitResult:
-    """Marginal MLE via MM; covers full (y=m), choice-one, choice-two and
-    per-observation cutoffs.
+    """Marginal MLE by the fixed-point loop; covers full (y=m), choice-one,
+    choice-two and per-observation cutoffs.
 
     ``y_override``: None keeps stored cutoffs, an integer sets y = min(y, m),
     "full" sets y = m; the result's kind is the marginal kind of
@@ -218,8 +236,9 @@ def fit_marginal_mle(dataset: Dataset, y_override=None, config: FitConfig | None
 
 
 def fit_qmle(dataset: Dataset, config: FitConfig | None = None) -> FitResult:
-    """QMLE: the MM engine on the fully broken pairwise outcomes (Bradley-Terry
-    MM on the (2, 1) broken-pairs group).
+    """QMLE: the fixed-point loop on the fully broken pairwise outcomes (the
+    engine's (2, 1) broken-pairs group, where Newman's step is his
+    Bradley-Terry iteration).
 
     The returned estimate matches observed and expected ranks per item
     (rank-matching estimating equations) to the configured tolerance.

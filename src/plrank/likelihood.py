@@ -10,7 +10,7 @@ negatives of weighted graph Laplacians on co-edge pairs, assembled sparsely
 from per-edge pair weights with the diagonal set to minus the row sums
 (densify only for spectral work).
 
-Scores and MM denominators exponentiate ``u - max(u)`` with one global
+Scores and the fit's stage sums exponentiate ``u - max(u)`` with one global
 shift, so an observation whose items all sit more than about 745 below the
 largest utility underflows to a zero score sum; Hessian blocks shift each
 edge by its own maximum instead.
@@ -47,25 +47,27 @@ def _pair_block(dataset: Dataset) -> dict:
     return {(2, 1): (range(len(pairs)), pairs)}
 
 
-def _marginal_pass(u, groups, work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One pass over the (m, y) groups at ``u``: (score, MM denominator).
+def _marginal_pass(u, groups, work: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One pass over the (m, y) groups at ``u``: (score, V, L).
 
     Position p of a group holds item k = ranking[p] with score
-    a_p = exp(u_k - max u); with suffix sums S_j = sum_{t >= j} a_t, the
-    running sum c_p = sum_{j <= min(p, y-1)} 1/S_j gives k the score term
-    ``1{p < y} - a_p c_p`` and the MM denominator term c_p. Terms are added
-    position by position. Each group's scratch arrays (the scores, and the
-    1/S_j rows, whose first row also carries the running S) live in
-    ``work``; a fit passes one dict to all its sweeps, so repeated passes
-    allocate nothing of the group's size.
+    a_p = exp(u_k - max u); with suffix sums S_j = sum_{t >= j} a_t, k adds
+    1{p < y}/S_p to V (1/S summed over the stages k wins) and the running
+    sum sum_{j < min(p, y)} 1/S_j to L (over the stages k is chosen
+    against). V + L is the MM denominator, and the score is
+    ``wins - a * (V + L)``, wins counting the observed positions. Each
+    group's scratch arrays (the scores, and the 1/S_j rows, whose first row
+    also carries the running S) and the win counts live in ``work``; a fit
+    passes one dict to all its passes, so only the first allocates.
     """
     e = np.exp(u - u.max())
-    score = np.zeros(u.shape[0])
-    denom = np.zeros(u.shape[0])
+    v, lose = np.zeros((2, u.shape[0]))
     work = {} if work is None else work
+    wins = work.setdefault("wins", np.zeros(u.shape[0], dtype=np.int64))
     for (m, y), (_, rankings) in groups.items():
-        if (m, y) not in work:
+        if (m, y) not in work:  # a fit's first pass: allocate, and count wins
             work[m, y] = np.empty((m, len(rankings))), np.empty((y, len(rankings)))
+            wins += np.bincount(rankings[:, :y].ravel(), minlength=u.shape[0])
         a, t = work[m, y]
         for p in range(m):
             np.take(e, rankings[:, p], out=a[p], mode="clip")
@@ -77,17 +79,15 @@ def _marginal_pass(u, groups, work: dict | None = None) -> tuple[np.ndarray, np.
             s += a[j]
             if j < y:
                 np.divide(1.0, s, out=t[j])  # at j = 0, S_0 turns into 1/S_0
-        c = t[0]  # becomes the running sum c_p
+        c = t[0]  # becomes the running sum over the stages before p
         for p in range(m):
-            if 0 < p < y:
-                c += t[p]
-            a[p] *= c
-            np.negative(a[p], out=a[p])
+            if p:
+                np.add.at(lose, rankings[:, p], c)
             if p < y:
-                a[p] += 1.0  # 1{p < y} - a_p c_p
-            np.add.at(score, rankings[:, p], a[p])
-            np.add.at(denom, rankings[:, p], c)
-    return score, denom
+                np.add.at(v, rankings[:, p], t[p])
+                if p:
+                    c += t[p]
+    return wins - e * (v + lose), v, lose
 
 
 def _marginal_loglik_from_groups(u, groups) -> float:

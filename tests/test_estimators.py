@@ -1,9 +1,10 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 from strategies import cutoff_datasets
@@ -15,6 +16,7 @@ from plrank import (
     FitConfig,
     NonexistenceError,
     Observation,
+    apply_estimator_cutoff,
     batch_marginal_inverse_variance,
     batch_qmle_inverse_variance,
     center,
@@ -34,7 +36,7 @@ from plrank import (
     standard_errors,
 )
 from plrank.estimators import _mm_marginal_sweep, existence_check_bruteforce
-from plrank.likelihood import _marginal_loglik_from_groups
+from plrank.likelihood import _marginal_loglik_from_groups, _pair_block
 from plrank.model import broken_pairs, grouped_rankings
 
 TIGHT = FitConfig(tol_grad_inf=1e-12, max_iter=20000)
@@ -59,6 +61,42 @@ def bradley_terry_mm(ds, u):
     np.add.at(denom, pairs[:, 0], inv)
     np.add.at(denom, pairs[:, 1], inv)
     return center(np.log(wins) - np.log(denom))
+
+
+def bradley_terry_newman(ds, u):
+    """The textbook Newman iterate on the broken pairs (unshifted):
+    pi_i <- sum_j w_ij pi_j / (pi_i + pi_j) / sum_j w_ji / (pi_i + pi_j)."""
+    pairs = broken_pairs(ds)
+    s = np.exp(u)
+    inv = 1.0 / (s[pairs[:, 0]] + s[pairs[:, 1]])
+    num = np.bincount(pairs[:, 0], s[pairs[:, 1]] * inv, minlength=ds.n)
+    den = np.bincount(pairs[:, 1], inv, minlength=ds.n)
+    return center(np.log(num) - np.log(den))
+
+
+def normalized_score(u, effective, kind):
+    score = quasi_score if kind == "qmle" else marginal_score
+    return float(np.abs(score(u, effective)).max()) / len(effective)
+
+
+def mm_sweeps(ds, kind, tol, max_sweeps=20000):
+    """MM alone from u = 0 until the normalized score sup-norm is at most
+    ``tol``: (utilities, sweeps)."""
+    effective = apply_estimator_cutoff(ds, kind)
+    groups = _pair_block(effective) if kind == "qmle" else grouped_rankings(effective)
+    u = np.zeros(ds.n)
+    for sweeps in range(max_sweeps):
+        if normalized_score(u, effective, kind) <= tol:
+            return u, sweeps
+        u = center(_mm_marginal_sweep(u, groups))
+    raise AssertionError(f"MM did not reach {tol} in {max_sweeps} sweeps")
+
+
+def with_reversal(ds):
+    """``ds`` plus a full ranking and its reverse, so that every item wins and
+    loses: the QMLE and the full MLE exist."""
+    both = [Observation(tuple(range(ds.n))), Observation(tuple(range(ds.n))[::-1])]
+    return Dataset(ds.n, ds.observations + both)
 
 
 class TestExistence:
@@ -198,17 +236,70 @@ class TestMMBehavior:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_qmle_is_bradley_terry_mm(self, data):
-        ds = data.draw(cutoff_datasets())
-        # a full ranking and its reverse make every item win and lose: the QMLE exists
-        both = [Observation(tuple(range(ds.n))), Observation(tuple(range(ds.n))[::-1])]
-        ds = Dataset(ds.n, ds.observations + both)
-        res = fit(ds, "qmle")
+    def test_qmle_is_bradley_terry_newman(self, data):
+        ds = with_reversal(data.draw(cutoff_datasets()))
+        with mock.patch.object(estimators, "_mm_step", wraps=estimators._mm_step) as mm_step:
+            res = fit(ds, "qmle")
+        assume(mm_step.call_count == 0)  # the MM fallback never fired
         u = np.zeros(ds.n)
         for _ in range(res.iterations):
-            u = bradley_terry_mm(ds.with_cutoff("full"), u)
+            u = bradley_terry_newman(ds.with_cutoff("full"), u)
         assert res.converged
         np.testing.assert_allclose(res.estimate, u, rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_kinds_agree_with_tight_mm(self, data):
+        ds = with_reversal(data.draw(cutoff_datasets()))
+        for kind in ESTIMATOR_KINDS:
+            if not existence_check(apply_estimator_cutoff(ds, kind)):
+                continue
+            want, _ = mm_sweeps(ds, kind, tol=1e-12)
+            res = fit(ds, kind, TIGHT)
+            assert res.converged
+            np.testing.assert_allclose(res.estimate, want, rtol=0, atol=1e-7)
+
+    @pytest.mark.parametrize("kind", ["qmle", "full", "choice2"])
+    @pytest.mark.parametrize(
+        "candidate",
+        [lambda u: np.full_like(u, np.nan), lambda u: u + 30.0 * np.arange(u.shape[0])],
+        ids=["nan", "far"],
+    )
+    def test_rejected_newman_step_falls_back_to_mm(self, small_dataset, kind, candidate, monkeypatch):
+        # a Newman candidate that is not finite, or whose score is far larger,
+        # never lowers the sup-norm: every iterate must be the MM step
+        _, ds = small_dataset
+        monkeypatch.setattr(estimators, "_newman_step", lambda u, *rest: candidate(u))
+        res = fit(ds, kind)
+        want, sweeps = mm_sweeps(ds, kind, tol=FitConfig().tol_grad_inf)
+        assert res.converged and res.iterations == sweeps
+        np.testing.assert_array_equal(res.estimate, want)
+
+    def test_overshooting_newman_step_is_damped(self):
+        # Newman's step flips the utility difference of items 0 and 1 here, and
+        # the score sup-norm falls by under 1 % per flip: accepting every step
+        # that lowers it takes over 1,300 iterations, MM alone 22 sweeps
+        pairs = [Observation((1, 0)), Observation((1, 2))]
+        ds = Dataset(3, pairs + [Observation((0, 1, 2)), Observation((2, 1, 0))])
+        res = fit(ds, "full")
+        _, sweeps = mm_sweeps(ds, "full", tol=FitConfig().tol_grad_inf)
+        assert res.converged and res.iterations <= sweeps
+
+    def test_heterogeneous_utilities_converge_fast(self):
+        # sd(u) = 4 at n = 200 with 3-6-way edges drawn by numpy alone: MM needs
+        # 4,666 (qmle) and 1,382 (full) sweeps on this seed, and requiring every
+        # Newman step to lower the current sup-norm takes 218 QMLE iterations
+        rng = np.random.default_rng(11)
+        n = 200
+        u_star = center(rng.normal(0.0, 4.0, n))
+        edges = [tuple(rng.choice(n, int(m), replace=False).tolist()) for m in rng.integers(3, 7, 3000)]
+        ds = sample_rankings(u_star, edges, rng)
+        for kind in ("qmle", "full"):
+            res = fit(ds, kind)
+            assert res.converged and res.iterations <= 100
+            assert normalized_score(res.estimate, apply_estimator_cutoff(ds, kind), kind) <= 1e-8
+            with mock.patch.object(estimators, "_newman_step", lambda u, *rest: np.full_like(u, np.nan)):
+                assert not fit(ds, kind, FitConfig(max_iter=1000)).converged
 
     def test_initialization_invariance(self, small_dataset):
         _, ds = small_dataset
