@@ -22,7 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .likelihood import _marginal_loglik_from_groups, _marginal_pass, _pair_block
-from .model import Dataset, broken_pairs, center, check_utilities, full_breaking, grouped_rankings
+from .model import Dataset, _dominance_arcs, center, check_utilities, full_breaking, grouped_rankings
 
 #: Estimator kind -> the cutoff it fits at: "full" (y = m), a top-y cutoff
 #: (y = min(y, m)), or None (each observation's stored cutoff). The QMLE
@@ -109,32 +109,30 @@ def apply_estimator_cutoff(dataset: Dataset, estimator: str, y_override=None) ->
     return dataset if y is None else dataset.with_cutoff(y)
 
 
-def existence_check(dataset: Dataset, pairs: np.ndarray | None = None) -> ExistenceResult:
+def existence_check(dataset: Dataset) -> ExistenceResult:
     """Existence and uniqueness of the constrained maximizer.
 
     Builds the dominance digraph with an arc loser -> winner for every broken
-    pair (respecting cutoffs). A finite maximizer exists iff the digraph is
-    strongly connected, i.e. every nonempty proper item subset is beaten from
-    outside at least once. On failure the reported partition is a condensation
-    sink: a set of items never beaten from outside (runaway winners).
-    ``pairs``: the dataset's :func:`broken_pairs`, when the caller holds them.
+    pair (respecting cutoffs), from the m - 1 arcs per observation of
+    :func:`plrank.model._dominance_arcs`, which have the same reachability.
+    A finite maximizer exists iff the digraph is strongly connected, i.e.
+    every nonempty proper item subset is beaten from outside at least once.
+    On failure the reported partition is a condensation sink: a set of items
+    never beaten from outside (runaway winners).
     """
     n = dataset.n
-    pairs = broken_pairs(dataset) if pairs is None else pairs
     if n == 1:
         return ExistenceResult(True)
-    if pairs.size == 0:
+    arcs = _dominance_arcs(dataset)
+    if arcs.size == 0:
         return ExistenceResult(False, tuple(range(n)))
-    # arc loser -> winner
-    adj = sp.coo_matrix(
-        (np.ones(len(pairs)), (pairs[:, 1], pairs[:, 0])), shape=(n, n)
-    ).tocsr()
+    adj = sp.coo_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n)).tocsr()
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
     if n_comp == 1:
         return ExistenceResult(True)
     # a component with no outgoing arc never loses to the outside
     has_out = np.zeros(n_comp, dtype=bool)
-    li, lj = labels[pairs[:, 1]], labels[pairs[:, 0]]
+    li, lj = labels[arcs[:, 0]], labels[arcs[:, 1]]
     has_out[li[li != lj]] = True
     sink = int(np.flatnonzero(~has_out)[0])
     return ExistenceResult(False, tuple(int(v) for v in np.flatnonzero(labels == sink)))
@@ -185,7 +183,7 @@ def _mm_fit(effective: Dataset, groups, kind: str, y_override, config: FitConfig
     zero than to minus the current score (Newman's step flips the utility
     difference of two items that mostly meet each other). Else one MM step."""
     config = config or FitConfig()
-    ok = existence_check(effective, groups[2, 1][1] if kind == "qmle" else None)
+    ok = existence_check(effective)
     if not ok:
         raise NonexistenceError(ok.failing_partition)
     n_obs, work = len(effective), {}

@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .estimators import apply_estimator_cutoff
 from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_weights
-from .model import Dataset, Edge, _edge_dataset, broken_pairs, check_utilities, grouped_rankings
+from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
@@ -224,17 +224,23 @@ def sample_block_model(config: BlockModelConfig, rng: np.random.Generator) -> li
             if cross_candidates and config.omega_cross > 0
             else 0
         )
-    edges: list[Edge] = []
-    bounds = np.cumsum((0,) + tuple(config.community_sizes))
+    return _block_edges(config.community_sizes, m, counts, rng, sample_distinct_edges)
+
+
+def _block_edges(community_sizes, m: int, counts, rng: np.random.Generator, draw) -> list[Edge]:
+    """``counts`` (per community..., cross) m-item edges: uniform inside each
+    contiguous community, then uniform community-straddling edges over all
+    items, each type drawn by ``draw`` (:func:`sample_distinct_edges`, or
+    :func:`sample_uniform_edges` when repeats are independent comparisons)."""
+    bounds = np.cumsum((0, *community_sizes))
 
     def crossing(edge: Edge) -> bool:
-        first = np.searchsorted(bounds, edge[0], side="right")
-        last = np.searchsorted(bounds, edge[-1], side="right")
-        return first != last
+        return np.searchsorted(bounds, edge[0], side="right") != np.searchsorted(bounds, edge[-1], side="right")
 
-    for comm, count in zip(communities, counts[:-1]):
-        edges.extend(sample_distinct_edges(comm, m, count, rng))
-    edges.extend(sample_distinct_edges(range(n), m, counts[-1], rng, predicate=crossing))
+    edges: list[Edge] = []
+    for lo, hi, count in zip(bounds[:-1], bounds[1:], counts[:-1]):
+        edges.extend(draw(np.arange(lo, hi), m, int(count), rng))
+    edges.extend(draw(range(int(bounds[-1])), m, int(counts[-1]), rng, predicate=crossing))
     return edges
 
 
@@ -279,9 +285,9 @@ def boundary_edges(edges, subset) -> list[Edge]:
 
 def is_connected(edges, n: int) -> bool:
     """Whether the hypergraph is connected; ``edges`` is an edge list or a
-    Dataset (every broken pair's top item meets each item of its edge)."""
-    pairs = broken_pairs(_as_dataset(edges, n))
-    adj = scipy.sparse.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(n, n))
+    Dataset (each observation's dominance arcs span its edge)."""
+    arcs = _dominance_arcs(_as_dataset(edges, n))
+    adj = scipy.sparse.coo_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n))
     return connected_components(adj, directed=False)[0] == 1
 
 
@@ -343,13 +349,6 @@ def _estimator_pair_weights(dataset: Dataset, u, estimator: str):
     if estimator == "qmle":
         return _pair_weights(u, grouped_rankings(dataset), _bradley_terry_block)
     return _expected_pair_weights(u, apply_estimator_cutoff(dataset, estimator))
-
-
-def _expected_neg_hessian(dataset: Dataset, u, estimator: str) -> np.ndarray:
-    """Dense -E[Hessian] for the requested estimator kind (a weighted graph
-    Laplacian; depends on edges and cutoffs only)."""
-    i, j, w, _ = _estimator_pair_weights(dataset, u, estimator)
-    return _laplacian(dataset.n, i, j, w)
 
 
 def spectral_diagnostics(

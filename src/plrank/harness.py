@@ -23,6 +23,7 @@ import numpy as np
 from .estimators import ESTIMATOR_KINDS, FitConfig, NonexistenceError, fit
 from .graphs import (
     BlockModelConfig,
+    _block_edges,
     EdgeSizeRule,
     RandomHypergraphConfig,
     sample_block_model,
@@ -30,7 +31,7 @@ from .graphs import (
     sample_uniform_edges,
 )
 from .inference import standard_errors
-from .model import DataFormatError, Dataset, Observation, center, grouped_rankings, sample_rankings
+from .model import DataFormatError, Dataset, _edge_dataset, center, grouped_rankings, sample_rankings
 
 EXPERIMENT_KINDS = ("consistency", "coverage", "heterogeneity")
 
@@ -132,31 +133,11 @@ def sample_design_edges(design: dict, n: int, rng: np.random.Generator) -> list:
         )
         return sample_block_model(config, rng)
     if kind == "block-typed":
-        return _sample_typed_block(design, n, rng)
+        # each comparison picks an edge type, then a uniform edge of that type;
+        # repeated edges are legitimate independent comparisons
+        counts = rng.multinomial(int(design["total"]), [float(p) for p in design["type_probs"]])
+        return _block_edges([int(s) for s in design["community_sizes"]], int(design["m"]), counts, rng, sample_uniform_edges)
     raise ValueError(f"unknown design kind {kind!r}")
-
-
-def _sample_typed_block(design: dict, n: int, rng: np.random.Generator) -> list:
-    """Each comparison independently picks an edge type, then a uniform edge of
-    that type; repeated edges are legitimate independent comparisons."""
-    m = int(design["m"])
-    sizes = [int(s) for s in design["community_sizes"]]
-    total = int(design["total"])
-    probs = [float(p) for p in design["type_probs"]]
-    bounds = np.cumsum([0] + sizes)
-    communities = [np.arange(bounds[i], bounds[i + 1]) for i in range(len(sizes))]
-    counts = rng.multinomial(total, probs)
-
-    def crossing(edge):
-        return np.searchsorted(bounds, edge[0], side="right") != np.searchsorted(
-            bounds, edge[-1], side="right"
-        )
-
-    edges = []
-    for comm, count in zip(communities, counts[:-1]):
-        edges.extend(sample_uniform_edges(comm, m, int(count), rng))
-    edges.extend(sample_uniform_edges(range(n), m, int(counts[-1]), rng, predicate=crossing))
-    return edges
 
 
 def draw_utilities(law: dict, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -531,19 +512,6 @@ def heterogeneity_experiment(config: ExperimentConfig, out_dir=None, workers: in
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RaceRecord:
-    """One finish-line row: a horse's position (1 = winner) within a race."""
-
-    race_id: str
-    horse_id: str
-    finish_position: int
-
-    def __post_init__(self):
-        if self.finish_position < 1:
-            raise ValueError("finish_position starts at 1")
-
-
 @dataclass
 class IngestResult:
     dataset: Dataset
@@ -570,7 +538,13 @@ class IngestResult:
 
 
 def _id_sort_key(value: str):
-    return (0, int(value), "") if value.isdigit() else (1, 0, value)
+    return (0, int(value), "") if value.isdecimal() else (1, 0, value)
+
+
+def _codes(values, ids) -> np.ndarray:
+    """Index of each value in ``ids``."""
+    index = {v: i for i, v in enumerate(ids)}
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
 
 
 def ingest_races(path, min_races: int = 10) -> IngestResult:
@@ -581,11 +555,13 @@ def ingest_races(path, min_races: int = 10) -> IngestResult:
     lost every race they ran, are removed; removal passes repeat until a fixed
     point since each removal changes race compositions. Races reduced below
     two horses are dropped. Remaining horses are renumbered densely.
+
+    Rows are held as columns (race, horse, place), numbered in id order and
+    sorted race by race, by place, ties in file order; each pass updates a
+    live-row mask.
     """
     path = Path(path)
-    races: dict[str, list[RaceRecord]] = {}
-    errors = []
-    seen_pairs = set()
+    rows, errors, seen_pairs = [], [], set()
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         required = {"race_id", "horse_id", "finish_position"}
@@ -593,82 +569,63 @@ def ingest_races(path, min_races: int = 10) -> IngestResult:
             raise DataFormatError(f"{path}: expected columns {sorted(required)}")
         for lineno, row in enumerate(reader, start=2):
             try:
-                record = RaceRecord(
-                    race_id=row["race_id"].strip(),
-                    horse_id=row["horse_id"].strip(),
-                    finish_position=int(row["finish_position"]),
-                )
-                if not record.race_id or not record.horse_id:
+                race_id, horse_id, place = row["race_id"].strip(), row["horse_id"].strip(), int(row["finish_position"])
+                if not race_id or not horse_id or place < 1:
                     raise ValueError
             except (ValueError, AttributeError):
                 errors.append(lineno)
                 continue
-            if (record.race_id, record.horse_id) in seen_pairs:
+            if (race_id, horse_id) in seen_pairs:
                 errors.append(lineno)
                 continue
-            seen_pairs.add((record.race_id, record.horse_id))
-            races.setdefault(record.race_id, []).append(record)
+            seen_pairs.add((race_id, horse_id))
+            rows.append((race_id, horse_id, place))
     if errors:
         shown = ", ".join(map(str, errors[:10]))
         raise DataFormatError(f"{path}: {len(errors)} malformed/duplicate rows (lines {shown}{'...' if len(errors) > 10 else ''})")
 
-    n_races_in = len(races)
-    all_horses = {r.horse_id for entries in races.values() for r in entries}
-    # de-duplicate positions: stable sort keeps file order within a tie, then
-    # the list order is the dense ranking
-    tie_broken = 0
-    ordered: dict[str, list[str]] = {}
-    for rid, entries in races.items():
-        entries.sort(key=lambda r: r.finish_position)
-        if len({r.finish_position for r in entries}) != len(entries):
-            tie_broken += 1
-        ordered[rid] = [r.horse_id for r in entries]
+    race_ids, horse_ids, places = zip(*rows) if rows else ((), (), ())
+    races = sorted(dict.fromkeys(race_ids), key=_id_sort_key)
+    horses = sorted(dict.fromkeys(horse_ids), key=_id_sort_key)
+    race, horse, place = _codes(race_ids, races), _codes(horse_ids, horses), np.array(places)
+    order = np.lexsort((place, race))  # stable: tied places keep file order
+    race, horse, place = race[order], horse[order], place[order]
+    tie_broken = np.unique(race[1:][(race[1:] == race[:-1]) & (place[1:] == place[:-1])]).size
 
-    removed_low, removed_wins, removed_losses = set(), set(), set()
+    live, live_race = np.ones(len(race), dtype=bool), np.ones(len(races), dtype=bool)
+    reason = np.zeros(len(horses), dtype=np.int8)  # 1 low count, 2 won all, 3 lost all
     races_dropped = 0
     while True:
-        small = [rid for rid, horses in ordered.items() if len(horses) < 2]
-        for rid in small:
-            del ordered[rid]
-        races_dropped += len(small)
+        small = live_race & (np.bincount(race[live], minlength=len(races)) < 2)
+        races_dropped += int(small.sum())
+        live_race &= ~small
+        live &= live_race[race]
+        count = np.bincount(horse[live], minlength=len(horses))
+        gone = (count > 0) & (count < min_races)
+        if gone.any():
+            reason[gone] = 1
+        else:
+            r, h = race[live], horse[live]
+            beaten = np.bincount(h[np.diff(r, prepend=-1) == 0], minlength=len(horses)) > 0  # not first
+            beats = np.bincount(h[np.diff(r, append=-1) == 0], minlength=len(horses)) > 0  # not last
+            won_all, lost_all = (count > 0) & ~beaten, (count > 0) & ~beats
+            reason[won_all], reason[lost_all] = 2, 3
+            gone = won_all | lost_all
+            if not gone.any():
+                break
+        live &= ~gone[horse]
 
-        counts: dict[str, int] = {}
-        for horses in ordered.values():
-            for h in horses:
-                counts[h] = counts.get(h, 0) + 1
-        low = {h for h, c in counts.items() if c < min_races}
-        if low:
-            removed_low |= low
-            ordered = {rid: [h for h in horses if h not in low] for rid, horses in ordered.items()}
-            continue
-
-        first_only, last_only = set(counts), set(counts)
-        for horses in ordered.values():
-            first_only -= set(horses[1:])
-            last_only -= set(horses[:-1])
-        if first_only or last_only:
-            removed_wins |= first_only
-            removed_losses |= last_only
-            gone = first_only | last_only
-            ordered = {rid: [h for h in horses if h not in gone] for rid, horses in ordered.items()}
-            continue
-        break
-
-    kept = sorted({h for horses in ordered.values() for h in horses}, key=_id_sort_key)
-    index = {h: i for i, h in enumerate(kept)}
-    observations = [
-        Observation(tuple(index[h] for h in horses))
-        for rid, horses in sorted(ordered.items(), key=lambda kv: _id_sort_key(kv[0]))
-    ]
-    dataset = Dataset(max(len(kept), 1), observations)
+    kept = count > 0
+    items, r = (np.cumsum(kept) - 1)[horse[live]], race[live]
+    rankings = np.split(items, np.flatnonzero(np.diff(r)) + 1) if items.size else []
     return IngestResult(
-        dataset=dataset,
-        horse_ids=kept,
-        n_races_in=n_races_in,
-        n_horses_in=len(all_horses),
-        removed_low_count=sorted(removed_low, key=_id_sort_key),
-        removed_all_wins=sorted(removed_wins, key=_id_sort_key),
-        removed_all_losses=sorted(removed_losses, key=_id_sort_key),
+        dataset=_edge_dataset(rankings, max(int(kept.sum()), 1)),
+        horse_ids=[horses[k] for k in np.flatnonzero(kept)],
+        n_races_in=len(races),
+        n_horses_in=len(horses),
+        removed_low_count=[horses[k] for k in np.flatnonzero(reason == 1)],
+        removed_all_wins=[horses[k] for k in np.flatnonzero(reason == 2)],
+        removed_all_losses=[horses[k] for k in np.flatnonzero(reason == 3)],
         races_dropped_small=races_dropped,
         tie_broken_races=tie_broken,
     )

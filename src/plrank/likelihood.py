@@ -25,7 +25,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from .model import Dataset, _redraw, broken_pairs, check_utilities, grouped_rankings
+from .model import Dataset, _redraw, _suffix_logsumexp, broken_pairs, check_utilities, grouped_rankings
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -94,8 +94,7 @@ def _marginal_loglik_from_groups(u, groups) -> float:
     total = 0.0
     for (_, y), (_, rankings) in groups.items():
         vals = u[rankings]
-        lse = np.logaddexp.accumulate(vals[:, ::-1], axis=1)[:, ::-1]
-        total += float(np.sum(vals[:, :y] - lse[:, :y]))
+        total += float(np.sum(vals[:, :y] - _suffix_logsumexp(vals)[:, :y]))
     return total
 
 

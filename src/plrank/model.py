@@ -325,6 +325,19 @@ def broken_pairs(dataset: Dataset) -> np.ndarray:
     return pairs
 
 
+def _dominance_arcs(dataset: Dataset) -> np.ndarray:
+    """(n_arcs, 2) loser/winner arcs, m - 1 per observation, with the
+    reachability of :func:`broken_pairs`: position p = 1..m-1 of an (m, y)
+    group points to position min(p, y) - 1, the item just above it inside
+    the cutoff, else the last observed winner. Each arc is a broken pair,
+    and every broken pair's loser reaches its winner along the arcs."""
+    arcs = [np.empty((0, 2), dtype=np.int64)]
+    for (m, y), (_, rankings) in grouped_rankings(dataset).items():
+        loser = np.arange(1, m)
+        arcs.append(np.stack([rankings[:, loser], rankings[:, np.minimum(loser, y) - 1]], axis=2).reshape(-1, 2))
+    return np.concatenate(arcs)
+
+
 def grouped_rankings(dataset: Dataset) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """The dataset's stored blocks: (edge size m, cutoff y) -> (observation
     indices (n_g,), rankings (n_g, m)), groups in order of first appearance,

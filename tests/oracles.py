@@ -1,18 +1,22 @@
 """Reference implementations the tests compare the library against.
 
 They are deliberately direct (Python loops over observations and prefixes,
-one rebuild per left-out item), so they are slow and only meant for small
-inputs.
+one rebuild per left-out item, dict and set rebuilds of whole races), so
+they are slow and only meant for small inputs.
 """
 
 from __future__ import annotations
 
+import csv
 import itertools
 import math
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from plrank import Dataset, apply_estimator_cutoff, quasi_hessian
+from plrank import DataFormatError, Dataset, Observation, apply_estimator_cutoff, quasi_hessian
+from plrank.harness import IngestResult
 
 
 def prefix_weights(u_edge: np.ndarray, prefix: tuple[int, ...]) -> tuple[float, np.ndarray]:
@@ -79,3 +83,122 @@ def leave_one_out_gap_rebuild(dataset: Dataset, u, estimator: str) -> float:
         eigs = np.linalg.eigvalsh(lap)
         worst = min(worst, float(eigs[1]) if eigs.size > 1 else 0.0)
     return worst
+
+
+@dataclass(frozen=True)
+class RaceRecord:
+    """One finish-line row: a horse's position (1 = winner) within a race."""
+
+    race_id: str
+    horse_id: str
+    finish_position: int
+
+    def __post_init__(self):
+        if self.finish_position < 1:
+            raise ValueError("finish_position starts at 1")
+
+
+def _reference_id_key(value: str):
+    return (0, int(value), "") if value.isdigit() else (1, 0, value)
+
+
+def ingest_races_reference(path, min_races: int = 10) -> IngestResult:
+    """Race ingestion with one record object per row and dict/set rebuilds of
+    the races on every removal pass; :func:`plrank.harness.ingest_races` must
+    agree with it field by field.
+
+    Horses appearing in fewer than ``min_races`` races, and horses that won or
+    lost every race they ran, are removed; removal passes repeat until a fixed
+    point since each removal changes race compositions. Races reduced below
+    two horses are dropped. Remaining horses are renumbered densely.
+    """
+    path = Path(path)
+    races: dict[str, list[RaceRecord]] = {}
+    errors = []
+    seen_pairs = set()
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        required = {"race_id", "horse_id", "finish_position"}
+        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+            raise DataFormatError(f"{path}: expected columns {sorted(required)}")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                record = RaceRecord(
+                    race_id=row["race_id"].strip(),
+                    horse_id=row["horse_id"].strip(),
+                    finish_position=int(row["finish_position"]),
+                )
+                if not record.race_id or not record.horse_id:
+                    raise ValueError
+            except (ValueError, AttributeError):
+                errors.append(lineno)
+                continue
+            if (record.race_id, record.horse_id) in seen_pairs:
+                errors.append(lineno)
+                continue
+            seen_pairs.add((record.race_id, record.horse_id))
+            races.setdefault(record.race_id, []).append(record)
+    if errors:
+        shown = ", ".join(map(str, errors[:10]))
+        raise DataFormatError(f"{path}: {len(errors)} malformed/duplicate rows (lines {shown}{'...' if len(errors) > 10 else ''})")
+
+    n_races_in = len(races)
+    all_horses = {r.horse_id for entries in races.values() for r in entries}
+    # de-duplicate positions: stable sort keeps file order within a tie, then
+    # the list order is the dense ranking
+    tie_broken = 0
+    ordered: dict[str, list[str]] = {}
+    for rid, entries in races.items():
+        entries.sort(key=lambda r: r.finish_position)
+        if len({r.finish_position for r in entries}) != len(entries):
+            tie_broken += 1
+        ordered[rid] = [r.horse_id for r in entries]
+
+    removed_low, removed_wins, removed_losses = set(), set(), set()
+    races_dropped = 0
+    while True:
+        small = [rid for rid, horses in ordered.items() if len(horses) < 2]
+        for rid in small:
+            del ordered[rid]
+        races_dropped += len(small)
+
+        counts: dict[str, int] = {}
+        for horses in ordered.values():
+            for h in horses:
+                counts[h] = counts.get(h, 0) + 1
+        low = {h for h, c in counts.items() if c < min_races}
+        if low:
+            removed_low |= low
+            ordered = {rid: [h for h in horses if h not in low] for rid, horses in ordered.items()}
+            continue
+
+        first_only, last_only = set(counts), set(counts)
+        for horses in ordered.values():
+            first_only -= set(horses[1:])
+            last_only -= set(horses[:-1])
+        if first_only or last_only:
+            removed_wins |= first_only
+            removed_losses |= last_only
+            gone = first_only | last_only
+            ordered = {rid: [h for h in horses if h not in gone] for rid, horses in ordered.items()}
+            continue
+        break
+
+    kept = sorted({h for horses in ordered.values() for h in horses}, key=_reference_id_key)
+    index = {h: i for i, h in enumerate(kept)}
+    observations = [
+        Observation(tuple(index[h] for h in horses))
+        for rid, horses in sorted(ordered.items(), key=lambda kv: _reference_id_key(kv[0]))
+    ]
+    dataset = Dataset(max(len(kept), 1), observations)
+    return IngestResult(
+        dataset=dataset,
+        horse_ids=kept,
+        n_races_in=n_races_in,
+        n_horses_in=len(all_horses),
+        removed_low_count=sorted(removed_low, key=_reference_id_key),
+        removed_all_wins=sorted(removed_wins, key=_reference_id_key),
+        removed_all_losses=sorted(removed_losses, key=_reference_id_key),
+        races_dropped_small=races_dropped,
+        tie_broken_races=tie_broken,
+    )

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,3 +148,20 @@ def test_ingest_malformed_is_data_error(tmp_path):
     races = tmp_path / "races.csv"
     races.write_text("race_id,horse_id,finish_position\n1,a,zzz\n")
     assert main(["ingest", "--races", str(races), "--out", str(tmp_path / "d.csv")]) == 3
+
+
+def test_ingest_fixture_outputs_are_golden(tmp_path):
+    """sha256 of the three files ``plrank ingest --min-races 10`` writes for
+    the bundled race fixture."""
+    import hashlib
+
+    fixture = Path(__file__).parent / "data" / "synthetic_races.csv"
+    out = tmp_path / "dataset.csv"
+    assert main(["ingest", "--races", str(fixture), "--min-races", "10", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("dataset.csv", "dataset.json", "dataset_ids.json")}
+    assert digests == {
+        "dataset.csv": "6a9be8990ed86f6d710965e1670171384989dbb5e1ccfb966e19d35d47b4b55f",
+        "dataset.json": "ca43303708004819a0dd6fa2d355cdc1725effb8b5f16bc9f64868c68937ace1",
+        "dataset_ids.json": "e748389eb248cffb793e6246b40c9bd3e32701bbe4599c424958564e80f89830",
+    }

@@ -37,7 +37,7 @@ from plrank import (
 )
 from plrank.estimators import _mm_marginal_sweep, existence_check_bruteforce
 from plrank.likelihood import _marginal_loglik_from_groups, _pair_block
-from plrank.model import broken_pairs, grouped_rankings
+from plrank.model import _dominance_arcs, broken_pairs, grouped_rankings
 
 TIGHT = FitConfig(tol_grad_inf=1e-12, max_iter=20000)
 
@@ -140,6 +140,37 @@ class TestExistence:
 
     def test_empty_dataset(self):
         assert not existence_check(Dataset(3, [])).exists
+
+
+def _closure(n, arcs):
+    """Reachability (n, n) along loser -> winner arcs, reflexive."""
+    reach = np.eye(n, dtype=bool)
+    reach[arcs[:, 0], arcs[:, 1]] = True
+    while True:
+        step = (reach.astype(int) @ reach.astype(int)) > 0
+        if (step == reach).all():
+            return reach
+        reach = step
+
+
+class TestDominanceArcs:
+    @settings(max_examples=200, deadline=None)
+    @given(cutoff_datasets())
+    def test_same_reachability_as_broken_pairs(self, ds):
+        arcs, pairs = _dominance_arcs(ds), broken_pairs(ds)
+        assert len(arcs) == sum(o.m - 1 for o in ds.observations)
+        assert set(map(tuple, arcs.tolist())) <= set(map(tuple, pairs[:, ::-1].tolist()))
+        np.testing.assert_array_equal(_closure(ds.n, arcs), _closure(ds.n, pairs[:, ::-1]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(cutoff_datasets())
+    def test_failing_partition_is_never_beaten_from_outside(self, ds):
+        res = existence_check(ds)
+        assert res.exists == existence_check_bruteforce(ds)
+        if not res.exists:
+            inside = np.isin(np.arange(ds.n), res.failing_partition)
+            for arcs in (_dominance_arcs(ds), broken_pairs(ds)[:, ::-1]):
+                assert not (inside[arcs[:, 0]] & ~inside[arcs[:, 1]]).any()
 
 
 class TestClosedForms:

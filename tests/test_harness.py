@@ -1,12 +1,18 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import ingest_races_reference
 
 from plrank import Dataset, DataFormatError, Observation, fit_qmle, standard_errors
 from plrank.harness import (
     ExperimentConfig,
+    IngestResult,
     format_rank_table,
     heterogeneity_experiment,
     hsbm_coverage_design,
@@ -20,6 +26,7 @@ from plrank.harness import (
     write_line_chart,
     write_rank_report,
 )
+from plrank.model import grouped_rankings
 
 
 class TestRecipes:
@@ -329,6 +336,86 @@ class TestIngest:
         res = ingest_races(path, min_races=1)
         text = "\n".join(res.report_lines())
         assert "kept: 2 horses, 2 races" in text
+
+
+def _padded(pool):
+    return st.tuples(st.sampled_from(["", " "]), st.sampled_from(pool), st.sampled_from(["", "  "])).map("".join)
+
+
+_CLEAN_PLACE = st.integers(1, 5).map(str)
+_BAD_PLACE = st.sampled_from(["0", "-1", "x", "", "1.5", " 2 ", "+3", "1_0", str(10**20)])
+_BAD_ID = st.sampled_from(["", "  "])
+
+
+@st.composite
+def race_csvs(draw):
+    """CSV text of race results: integer, string and space-padded ids (no two
+    distinct ids with equal sort keys), ties, one-horse races, and, when
+    ``bad``, malformed cells, short rows and duplicate rows."""
+    bad = draw(st.booleans())
+    race_ids, horse_ids = ["1", "2", "3", "10", "r1", "R2"], ["1", "2", "9", "10", "a", "b", "B", "c"]
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        cells = [draw(_padded(race_ids)), draw(_padded(horse_ids)), draw(_CLEAN_PLACE), "x"]
+        if bad and draw(st.integers(0, 9)) == 0:
+            slot = draw(st.integers(0, 3))
+            if slot == 3:
+                cells = cells[: draw(st.integers(1, 2))]  # short row
+            else:
+                cells[slot] = draw(_BAD_PLACE if slot == 2 else _BAD_ID)
+        rows.append(",".join(cells))
+        if bad and draw(st.integers(0, 19)) == 0:
+            rows.append(rows[-1])
+    header = draw(st.sampled_from(["race_id,horse_id,finish_position,venue", "venue,finish_position,horse_id,race_id"]))
+    if header.startswith("venue"):
+        rows = [",".join(row.split(",")[::-1]) if row.count(",") == 3 else row for row in rows]
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _outcome(ingest, path, min_races):
+    try:
+        return ingest(path, min_races=min_races)
+    except (TypeError, ValueError) as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestIngestAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(race_csvs(), st.integers(0, 4))
+    def test_same_result_or_error_as_reference(self, text, min_races):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "races.csv"
+            path.write_text(text)
+            got, want = _outcome(ingest_races, path, min_races), _outcome(ingest_races_reference, path, min_races)
+        assert isinstance(got, IngestResult) == isinstance(want, IngestResult)
+        if not isinstance(want, IngestResult):
+            assert got == want
+            return
+        for name in IngestResult.__dataclass_fields__:
+            if name != "dataset":
+                assert getattr(got, name) == getattr(want, name), name
+        assert got.dataset.n == want.dataset.n
+        got_blocks, want_blocks = grouped_rankings(got.dataset), grouped_rankings(want.dataset)
+        assert list(got_blocks) == list(want_blocks)
+        for key, (idx, rankings) in want_blocks.items():
+            np.testing.assert_array_equal(got_blocks[key][0], idx)
+            np.testing.assert_array_equal(got_blocks[key][1], rankings)
+
+    def test_superscript_id_of_dropped_race_is_ignored(self, tmp_path):
+        # "²".isdigit() holds but int("²") fails; a one-horse race is dropped
+        # before its id is ever ordered against another
+        path = tmp_path / "races.csv"
+        write_races(path, [(1, "a", 1), (1, "b", 2), (2, "b", 1), (2, "a", 2), ("²", "a", 1)])
+        res = ingest_races(path, min_races=1)
+        assert res.races_dropped_small == 1 and len(res.dataset) == 2
+
+    def test_nothing_kept_gives_empty_dataset(self, tmp_path):
+        path = tmp_path / "races.csv"
+        write_races(path, [(1, "a", 1), (1, "b", 2), (2, "a", 1), (2, "c", 2)])
+        res = ingest_races(path, min_races=1)
+        assert res.dataset.n == 1 and len(res.dataset) == 0
+        assert res.removed_all_wins == ["a"] and res.removed_all_losses == ["b", "c"]
+        assert res.races_dropped_small == 2
 
 
 class TestRankReport:
