@@ -50,7 +50,9 @@ print("  qmle   :", qmle_inverse_variance(u0, triple, 0))
 print("  top-1  :", marginal_inverse_variance(u0, triple.with_cutoff(1), 0))
 
 # Wide edges exhaust the enumeration budget; the error names the offenders.
-wide = sample_rankings(center(rng.uniform(-0.5, 0.5, 20)), sample_uniform_edges(range(20), 12, 4, rng), rng)
+# Twelve 12-item races over 20 items: with only a few, some item often never
+# loses (or never wins) and no full MLE exists.
+wide = sample_rankings(center(rng.uniform(-0.5, 0.5, 20)), sample_uniform_edges(range(20), 12, 12, rng), rng)
 wide_fit = fit(wide, "full")
 try:
     standard_errors(wide_fit, wide, prefix_budget=10**6)

@@ -120,59 +120,101 @@ class BlockModelConfig:
 
 
 def _random_subsets(items: np.ndarray, m: int, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """``batch`` uniform random m-subsets of ``items`` as sorted rows: each
-    row takes the m smallest of i.i.d. uniform keys."""
-    keys = rng.random((batch, len(items)))
-    if m < len(items):
-        picks = np.argpartition(keys, m, axis=1)[:, :m]
-    else:
-        picks = np.tile(np.arange(len(items)), (batch, 1))
+    """``batch`` uniform random m-subsets of ``items`` as sorted rows, by
+    Floyd's algorithm run column by column over the batch: step j draws t
+    uniform in [0, j] and keeps t, or j when t is already picked. O(batch m)
+    memory and m bounded integer draws per row, with no rejection."""
+    n = len(items)
+    picks = np.empty((batch, m), dtype=np.int64)
+    for k, j in enumerate(range(n - m, n)):
+        t = rng.integers(0, j + 1, size=batch)
+        picks[:, k] = np.where((picks[:, :k] == t[:, None]).any(axis=1), j, t)
     return np.sort(items[picks], axis=1)
+
+
+_EXACT_COUNT_CAP = 10**4  # filtered candidate sets up to this size are counted exactly
+_MAX_EMPTY_ROUNDS = 1000  # larger ones give up after this many rounds accepting nothing
+
+
+def _eligible_left(items: np.ndarray, m: int, predicate, seen) -> int | None:
+    """How many m-subsets of ``items`` pass ``predicate`` and are not in
+    ``seen``; None when a predicate leaves too many candidates to count."""
+    total = math.comb(len(items), m)
+    if predicate is None:
+        itemset = set(items.tolist())
+        return total - sum(1 for e in seen if len(e) == m and list(e) == sorted(itemset.intersection(e)))
+    if total > _EXACT_COUNT_CAP:
+        return None
+    return sum(
+        1 for c in itertools.combinations(np.sort(items).tolist(), m)
+        if (seen is None or c not in seen) and predicate(c)
+    )
+
+
+def _draw_edges(items: np.ndarray, m: int, count: int, rng: np.random.Generator,
+                predicate=None, seen=None) -> list[Edge]:
+    """``count`` uniform m-subsets of ``items`` passing ``predicate`` (and, when
+    ``seen`` is a set, distinct and not in it), via batched rejection.
+
+    The first round that accepts nothing counts the eligible subsets left
+    (:func:`_eligible_left`) and raises ValueError when too few remain; when
+    they cannot be counted, ``_MAX_EMPTY_ROUNDS`` such rounds in a row raise."""
+    out: list[Edge] = []
+    empty_rounds, feasible = 0, False
+    while len(out) < count:
+        need = count - len(out)
+        accepted = len(out)
+        for pick in map(tuple, _random_subsets(items, m, max(32, need + need // 4), rng).tolist()):
+            if (seen is not None and pick in seen) or (predicate is not None and not predicate(pick)):
+                continue
+            if seen is not None:
+                seen.add(pick)
+            out.append(pick)
+            if len(out) == count:
+                break
+        if len(out) > accepted or feasible:
+            empty_rounds = 0
+            continue
+        empty_rounds += 1
+        left = _eligible_left(items, m, predicate, seen)
+        if left is not None:
+            if left < (need if seen is not None else 1):
+                eligible = left + len(out) if seen is not None else left
+                raise ValueError(f"only {eligible} eligible size-{m} edges, {count} requested")
+            feasible = True
+        elif empty_rounds >= _MAX_EMPTY_ROUNDS:
+            raise ValueError(
+                f"found {len(out)} eligible size-{m} edges of {count} requested; "
+                f"{empty_rounds} draw rounds in a row accepted none"
+            )
+    return out
 
 
 def sample_distinct_edges(items, m: int, count: int, rng: np.random.Generator,
                           exclude=None, predicate=None) -> list[Edge]:
     """``count`` distinct uniform m-subsets of ``items`` (optionally filtered by
-    ``predicate`` and disjoint from ``exclude``), via batched rejection."""
+    ``predicate`` and disjoint from ``exclude``), via batched rejection; raises
+    ValueError when fewer eligible subsets exist."""
     items = np.asarray(items, dtype=np.int64)
     total = math.comb(len(items), m)
     if count > total:
         raise ValueError(f"cannot draw {count} distinct edges from {total} candidates")
     if count == 0:
         return []
-    seen = set(exclude) if exclude else set()
-    out: list[Edge] = []
-    while len(out) < count:
-        need = count - len(out)
-        for row in _random_subsets(items, m, max(32, need + need // 4), rng):
-            pick = tuple(row.tolist())
-            if pick in seen or (predicate is not None and not predicate(pick)):
-                continue
-            seen.add(pick)
-            out.append(pick)
-            if len(out) == count:
-                break
-    return out
+    return _draw_edges(items, m, count, rng, predicate, set(exclude) if exclude else set())
 
 
 def sample_uniform_edges(items, m: int, count: int, rng: np.random.Generator,
                          predicate=None) -> list[Edge]:
     """``count`` i.i.d. uniform m-subsets of ``items`` (repeats allowed), as for
-    independently assembled comparisons."""
+    independently assembled comparisons; raises ValueError when no subset
+    passes ``predicate``."""
     items = np.asarray(items, dtype=np.int64)
     if m > len(items):
         raise ValueError(f"cannot form size-{m} edges from {len(items)} items")
-    out: list[Edge] = []
-    while len(out) < count:
-        need = count - len(out)
-        for row in _random_subsets(items, m, max(32, need + need // 4), rng):
-            pick = tuple(row.tolist())
-            if predicate is not None and not predicate(pick):
-                continue
-            out.append(pick)
-            if len(out) == count:
-                break
-    return out
+    if predicate is None:
+        return list(map(tuple, _random_subsets(items, m, count, rng).tolist()))
+    return _draw_edges(items, m, count, rng, predicate)
 
 
 def sample_random_hypergraph(config: RandomHypergraphConfig, rng: np.random.Generator,

@@ -572,7 +572,7 @@ def ingest_races(path, min_races: int = 10) -> IngestResult:
                 race_id, horse_id, place = row["race_id"].strip(), row["horse_id"].strip(), int(row["finish_position"])
                 if not race_id or not horse_id or place < 1:
                     raise ValueError
-            except (ValueError, AttributeError):
+            except (ValueError, AttributeError, TypeError):  # bad value, or a short row's None
                 errors.append(lineno)
                 continue
             if (race_id, horse_id) in seen_pairs:

@@ -130,7 +130,7 @@ def ingest_races_reference(path, min_races: int = 10) -> IngestResult:
                 )
                 if not record.race_id or not record.horse_id:
                     raise ValueError
-            except (ValueError, AttributeError):
+            except (ValueError, AttributeError, TypeError):
                 errors.append(lineno)
                 continue
             if (record.race_id, record.horse_id) in seen_pairs:

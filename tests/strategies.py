@@ -22,3 +22,12 @@ def cutoff_datasets(draw, max_items=8, max_m=6, max_obs=5):
 
 def utilities(n, bound=5.0):
     return st.lists(st.floats(-bound, bound), min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def subset_draws(draw, max_items=30, max_batch=40):
+    """(items, m, batch, seed) for the edge sampler: distinct, unsorted,
+    possibly negative item labels and any m from 0 to len(items)."""
+    items = draw(st.lists(st.integers(-100, 10**6), min_size=1, max_size=max_items, unique=True))
+    m = draw(st.integers(0, len(items)))
+    return np.array(items, dtype=np.int64), m, draw(st.integers(0, max_batch)), draw(st.integers(0, 2**32 - 1))

@@ -1,10 +1,13 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from oracles import expected_neg_hessian_loop, leave_one_out_gap_rebuild
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp
+from strategies import subset_draws
 
 from plrank import (
     BlockModelConfig,
@@ -29,7 +32,8 @@ from plrank import (
     shared_edges,
     spectral_diagnostics,
 )
-from plrank.graphs import chain_score, enumerate_admissible_chains, modified_cheeger_bruteforce
+from plrank.graphs import _random_subsets, chain_score, enumerate_admissible_chains, modified_cheeger_bruteforce, sample_uniform_edges
+from plrank.harness import sample_design_edges
 
 
 def constant_config(n, m, p):
@@ -93,6 +97,81 @@ class TestGenerators:
         assert sorted(edges) == sorted(itertools.combinations(range(5), 2))
         with pytest.raises(ValueError):
             sample_distinct_edges(range(5), 2, 11, rng)
+
+
+class TestEdgeSampler:
+    def test_uniform_over_all_subsets(self):
+        combos = list(itertools.combinations(range(6), 3))
+        rows = _random_subsets(np.arange(6), 3, 200_000, np.random.default_rng(5))
+        codes = (1 << rows).sum(axis=1)
+        counts = np.array([np.count_nonzero(codes == sum(1 << v for v in c)) for c in combos])
+        assert counts.sum() == 200_000
+        stat = ((counts - 10_000) ** 2 / 10_000).sum()
+        assert chi2.sf(stat, len(combos) - 1) > 1e-3, stat
+
+    def test_all_items_and_single_items(self):
+        rng = np.random.default_rng(6)
+        items = np.array([9, 2, 7, 4])
+        np.testing.assert_array_equal(_random_subsets(items, 4, 5, rng), np.tile([2, 4, 7, 9], (5, 1)))
+        singles = _random_subsets(items, 1, 40_000, rng)
+        assert singles.shape == (40_000, 1)
+        freq = np.array([np.count_nonzero(singles == v) for v in items]) / 40_000
+        np.testing.assert_allclose(freq, 0.25, atol=0.01)
+
+    def test_non_contiguous_items(self):
+        items = np.arange(40, 47)  # a community's labels
+        rows = _random_subsets(items, 3, 70_000, np.random.default_rng(7))
+        assert rows.min() >= 40 and rows.max() <= 46
+        freq = np.bincount(rows.ravel() - 40, minlength=7) / 70_000
+        np.testing.assert_allclose(freq, 3 / 7, atol=0.01)
+
+    @settings(max_examples=200, deadline=None)
+    @given(subset_draws())
+    def test_rows_are_sorted_distinct_subsets(self, draw):
+        items, m, batch, seed = draw
+        rows = _random_subsets(items, m, batch, np.random.default_rng(seed))
+        assert rows.shape == (batch, m)
+        assert np.isin(rows, items).all()
+        assert (np.diff(rows, axis=1) > 0).all()
+
+    def test_memory_is_batch_by_m(self):
+        # memory must scale with batch x m: n keys per row would take 8 GB here
+        rows = _random_subsets(np.arange(10**6), 5, 1000, np.random.default_rng(8))
+        assert rows.shape == (1000, 5) and (np.diff(rows, axis=1) > 0).all()
+
+    def test_too_few_eligible_raises(self):
+        rng = np.random.default_rng(9)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="199 eligible.*200 requested"):
+            sample_distinct_edges(range(12), 3, 200, rng, exclude={(0, 1, 2)}, predicate=lambda e: e[0] < 6)
+        assert time.perf_counter() - start < 1.0
+        edges = sample_distinct_edges(range(12), 3, 199, rng, exclude={(0, 1, 2)}, predicate=lambda e: e[0] < 6)
+        assert len(set(edges)) == 199 and (0, 1, 2) not in edges and all(e[0] < 6 for e in edges)
+        with pytest.raises(ValueError, match="only 0 eligible"):
+            sample_uniform_edges(range(12), 3, 1, rng, predicate=lambda e: False)
+
+    def test_every_candidate_beyond_the_count_cap(self):
+        # 27,405 candidates: too many to enumerate, counted by arithmetic, so
+        # the long tail of rejected duplicates never gives up
+        edges = sample_distinct_edges(range(30), 4, math.comb(30, 4), np.random.default_rng(12))
+        assert len(set(edges)) == math.comb(30, 4)
+
+    def test_exclude_without_predicate_counted(self):
+        rng = np.random.default_rng(10)
+        exclude = {(0, 1), (0, 2), (5, 9), (1, 0)}  # two are not candidates
+        with pytest.raises(ValueError, match="8 eligible.*9 requested"):
+            sample_distinct_edges(range(5), 2, 9, rng, exclude=exclude)
+        assert sorted(sample_distinct_edges(range(5), 2, 8, rng, exclude=exclude)) == sorted(
+            set(itertools.combinations(range(5), 2)) - exclude
+        )
+
+    @pytest.mark.parametrize("sizes", [[12], [200]])
+    def test_no_crossing_edge_in_one_community(self, sizes):
+        # counted exactly at 12 items, given up after empty rounds at 200
+        design = {"kind": "block-typed", "m": 3, "community_sizes": sizes, "total": 5, "type_probs": [0.5, 0.5]}
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="eligible size-3 edges"):
+            sample_design_edges(design, sum(sizes), rng)
 
 
 class TestBlockModel:

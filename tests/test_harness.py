@@ -317,6 +317,12 @@ class TestIngest:
         with pytest.raises(DataFormatError, match="lines 3"):
             ingest_races(path)
 
+    def test_short_row_is_format_error(self, tmp_path):
+        path = tmp_path / "races.csv"
+        path.write_text("race_id,horse_id,finish_position\n1,b\n")
+        with pytest.raises(DataFormatError, match="lines 2"):
+            ingest_races(path)
+
     def test_duplicate_horse_in_race_rejected(self, tmp_path):
         path = tmp_path / "races.csv"
         path.write_text("race_id,horse_id,finish_position\n1,a,1\n1,a,2\n1,b,3\n")
