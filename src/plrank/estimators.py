@@ -18,11 +18,9 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .likelihood import _marginal_loglik_from_groups, _marginal_pass, _pair_block
-from .model import Dataset, _dominance_arcs, center, check_utilities, full_breaking, grouped_rankings
+from .model import Dataset, _dominance_arcs, _reaches_all, center, check_utilities, full_breaking, grouped_rankings
 
 #: Estimator kind -> the cutoff it fits at: "full" (y = m), a top-y cutoff
 #: (y = min(y, m)), or None (each observation's stored cutoff). The QMLE
@@ -116,7 +114,8 @@ def existence_check(dataset: Dataset) -> ExistenceResult:
     pair (respecting cutoffs), from the m - 1 arcs per observation of
     :func:`plrank.model._dominance_arcs`, which have the same reachability.
     A finite maximizer exists iff the digraph is strongly connected, i.e.
-    every nonempty proper item subset is beaten from outside at least once.
+    every nonempty proper item subset is beaten from outside at least once;
+    numpy sweeps from item 0 along and against the arcs, else scipy, decide.
     On failure the reported partition is a condensation sink: a set of items
     never beaten from outside (runaway winners).
     """
@@ -126,6 +125,11 @@ def existence_check(dataset: Dataset) -> ExistenceResult:
     arcs = _dominance_arcs(dataset)
     if arcs.size == 0:
         return ExistenceResult(False, tuple(range(n)))
+    if _reaches_all(arcs, n) and _reaches_all(arcs[:, ::-1], n):
+        return ExistenceResult(True)
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     adj = sp.coo_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n)).tocsr()
     n_comp, labels = connected_components(adj, directed=True, connection="strong")
     if n_comp == 1:

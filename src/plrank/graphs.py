@@ -19,13 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .estimators import apply_estimator_cutoff
 from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_weights
-from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, check_utilities, grouped_rankings
+from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _reaches_all, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
@@ -327,8 +324,14 @@ def boundary_edges(edges, subset) -> list[Edge]:
 
 def is_connected(edges, n: int) -> bool:
     """Whether the hypergraph is connected; ``edges`` is an edge list or a
-    Dataset (each observation's dominance arcs span its edge)."""
+    Dataset (each observation's dominance arcs span its edge); a numpy sweep
+    over the arcs both ways, else scipy's connected components."""
     arcs = _dominance_arcs(_as_dataset(edges, n))
+    if _reaches_all(np.concatenate([arcs, arcs[:, ::-1]]), n):
+        return True
+    import scipy.sparse
+    from scipy.sparse.csgraph import connected_components
+
     adj = scipy.sparse.coo_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n))
     return connected_components(adj, directed=False)[0] == 1
 
@@ -424,6 +427,8 @@ def spectral_diagnostics(
     s_gap = float(min(eigs[1], 2.0 - eigs[-1]))
     lam_leave = None
     if leave_one_out:
+        import scipy.linalg
+
         lam_leave = math.inf
         dropped = np.zeros(len(dataset), dtype=bool)
         for k in range(n):

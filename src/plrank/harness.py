@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -31,7 +30,7 @@ from .graphs import (
     sample_uniform_edges,
 )
 from .inference import standard_errors
-from .model import DataFormatError, Dataset, _edge_dataset, center, grouped_rankings, sample_rankings
+from .model import DataFormatError, Dataset, _codes, _edge_dataset, center, grouped_rankings, sample_rankings
 
 EXPERIMENT_KINDS = ("consistency", "coverage", "heterogeneity")
 
@@ -429,6 +428,8 @@ def _run_tasks(tasks, workers: int | None):
         workers = int(os.environ.get("PLRANK_THREADS", "1"))
     if workers <= 1 or len(tasks) <= 1:
         return [_replication(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replication, tasks, chunksize=4))
 
@@ -541,12 +542,6 @@ def _id_sort_key(value: str):
     return (0, int(value), "") if value.isdecimal() else (1, 0, value)
 
 
-def _codes(values, ids) -> np.ndarray:
-    """Index of each value in ``ids``."""
-    index = {v: i for i, v in enumerate(ids)}
-    return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
-
-
 def ingest_races(path, min_races: int = 10) -> IngestResult:
     """Read race results (CSV with race_id, horse_id, finish_position; extra
     columns ignored) into a Dataset of full rankings.
@@ -563,16 +558,19 @@ def ingest_races(path, min_races: int = 10) -> IngestResult:
     path = Path(path)
     rows, errors, seen_pairs = [], [], set()
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+        reader = csv.reader(f)
+        header = next(reader, None)
         required = {"race_id", "horse_id", "finish_position"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
+        if header is None or not required <= set(header):
             raise DataFormatError(f"{path}: expected columns {sorted(required)}")
-        for lineno, row in enumerate(reader, start=2):
+        column = {name: i for i, name in enumerate(header)}  # a repeated name means its last cell
+        ri, hi, pi = column["race_id"], column["horse_id"], column["finish_position"]
+        for lineno, row in enumerate(filter(None, reader), start=2):  # blank lines are skipped uncounted
             try:
-                race_id, horse_id, place = row["race_id"].strip(), row["horse_id"].strip(), int(row["finish_position"])
+                race_id, horse_id, place = row[ri].strip(), row[hi].strip(), int(row[pi])
                 if not race_id or not horse_id or place < 1:
                     raise ValueError
-            except (ValueError, AttributeError, TypeError):  # bad value, or a short row's None
+            except (ValueError, IndexError):  # bad value, or a short row
                 errors.append(lineno)
                 continue
             if (race_id, horse_id) in seen_pairs:

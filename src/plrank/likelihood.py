@@ -23,7 +23,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import Dataset, _redraw, _suffix_logsumexp, broken_pairs, check_utilities, grouped_rankings
 
@@ -145,21 +144,23 @@ def _observed_hessian_block(u, rankings: np.ndarray, y: int) -> np.ndarray:
     return a[:, p] * a[:, q] * c2[:, np.minimum(p, y - 1)]
 
 
-def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
+def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> scipy.sparse.csr_matrix:
     """Negative weighted Laplacian of pair weights (repeats add), sparse: w
     off the diagonal, and the diagonal is minus the row sums. Repeats are
     summed once, in the upper triangle, so the matrix is exactly symmetric."""
+    import scipy.sparse as sp
+
     upper = sp.coo_matrix((w, (np.minimum(i, j), np.maximum(i, j))), shape=(n, n)).tocsr()
     off = upper + upper.T
     return (off - sp.diags(np.asarray(off.sum(axis=1)).ravel())).tocsr()
 
 
-def _hessian(u, groups, n: int) -> sp.csr_matrix:
+def _hessian(u, groups, n: int) -> scipy.sparse.csr_matrix:
     i, j, w, _ = _pair_weights(u, groups, _observed_hessian_block, sort=False)
     return _sparse_hessian(n, i, j, w)
 
 
-def marginal_hessian(u, dataset: Dataset) -> sp.csr_matrix:
+def marginal_hessian(u, dataset: Dataset) -> scipy.sparse.csr_matrix:
     """Hessian of the marginal log-likelihood (sparse, co-edge support).
 
     Off-diagonal (k, k') sums ``exp(u_k + u_k') / S_j**2`` over shared
@@ -171,7 +172,7 @@ def marginal_hessian(u, dataset: Dataset) -> sp.csr_matrix:
     return _hessian(u, grouped_rankings(dataset), dataset.n)
 
 
-def quasi_hessian(u, dataset: Dataset) -> sp.csr_matrix:
+def quasi_hessian(u, dataset: Dataset) -> scipy.sparse.csr_matrix:
     """Hessian of the quasi log-likelihood (the marginal Hessian of the
     broken pairs): off-diagonal (k, k') counts broken co-occurrences weighted
     by ``exp(u_k + u_k')/(exp(u_k) + exp(u_k'))**2``. Outcome-independent for
@@ -306,7 +307,7 @@ def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarra
     return np.bincount(flat, vals, minlength=n * n).reshape(n, n)
 
 
-def expected_marginal_hessian(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6) -> sp.csr_matrix:
+def expected_marginal_hessian(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6) -> scipy.sparse.csr_matrix:
     """Expectation of :func:`marginal_hessian` over ranking outcomes drawn at
     the same ``u``, by exact enumeration of ordered top-``y`` prefixes.
 
@@ -343,6 +344,8 @@ def expected_marginal_hessian_mc(u, dataset: Dataset, n_samples: int = 10**4, rn
 
 def hessian_to_coo_csv(h, path) -> None:
     """Dump a (sparse) matrix as ``row,col,value`` rows for debugging."""
+    import scipy.sparse as sp
+
     coo = sp.coo_matrix(h)
     with open(path, "w") as f:
         f.write("row,col,value\n")

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -338,6 +339,25 @@ def _dominance_arcs(dataset: Dataset) -> np.ndarray:
     return np.concatenate(arcs)
 
 
+#: Frontier rounds after which :func:`_reaches_all` gives up (callers then ask csgraph).
+SWEEP_ROUNDS = 64
+
+
+def _reaches_all(arcs: np.ndarray, n: int) -> bool:
+    """Whether item 0 reaches all ``n`` items along the (tail, head) rows of
+    ``arcs`` within :data:`SWEEP_ROUNDS` frontier rounds; False when a round
+    adds no item (some item is unreachable) or the rounds run out (undecided)."""
+    tail, head = np.ascontiguousarray(arcs.T)
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    for _ in range(SWEEP_ROUNDS):
+        reached = np.count_nonzero(seen)
+        seen[head[seen[tail]]] = True
+        if np.count_nonzero(seen) in (n, reached):
+            break
+    return bool(seen.all())
+
+
 def grouped_rankings(dataset: Dataset) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
     """The dataset's stored blocks: (edge size m, cutoff y) -> (observation
     indices (n_g,), rankings (n_g, m)), groups in order of first appearance,
@@ -377,21 +397,26 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 def load_dataset(path) -> Dataset:
     """Read a dataset CSV (+ optional sidecar). Observation order follows the
-    first appearance of each obs_id; ranks must form 1..m."""
+    first appearance of each obs_id; ranks must form 1..m.
+
+    The cells are read as columns, and one lexsort orders them by
+    observation, rank and item. Errors come as a row-by-row reader meets
+    them: the first row that does not parse, then the first observation
+    whose ranks are not 1..m or whose ranking or cutoff is invalid.
+    """
     path = Path(path)
-    rows: dict[str, list[tuple[int, int]]] = {}
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"obs_id", "rank", "item"} <= set(reader.fieldnames):
+        reader = csv.reader(f)
+        header = next(reader, None)
+        if header is None or not {"obs_id", "rank", "item"} <= set(header):
             raise DataFormatError(f"{path}: expected header obs_id,rank,item")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                oid = row["obs_id"].strip()
-                rank = int(row["rank"])
-                item = int(row["item"])
-            except (ValueError, AttributeError) as exc:
-                raise DataFormatError(f"{path}:{lineno}: bad row {row}") from exc
-            rows.setdefault(oid, []).append((rank, item))
+        rows = list(filter(None, reader))  # blank lines are skipped
+    column = {name: i for i, name in enumerate(header)}  # a repeated name means its last cell
+    try:
+        oids = [row[column["obs_id"]].strip() for row in rows]
+        ranks, items = (np.fromiter(map(int, map(itemgetter(column[name]), rows)), dtype=np.int64, count=len(rows)) for name in ("rank", "item"))
+    except (ValueError, IndexError):
+        _raise_bad_row(path)
 
     side = sidecar_path(path)
     meta = {}
@@ -400,15 +425,44 @@ def load_dataset(path) -> Dataset:
             meta = json.load(f)
     cutoffs = meta.get("cutoffs", {})
 
-    observations = []
-    for oid, entries in rows.items():
-        entries.sort()
-        ranks = [r for r, _ in entries]
-        if ranks != list(range(1, len(entries) + 1)):
-            raise DataFormatError(f"{path}: observation {oid} ranks {ranks} are not 1..m")
-        ranking = tuple(item for _, item in entries)
-        y = int(cutoffs.get(str(oid), len(ranking)))
-        observations.append(Observation(ranking, y))
+    ids = list(dict.fromkeys(oids))
+    obs = _codes(oids, ids)
+    order = np.lexsort((items, ranks, obs))
+    obs, ranks, items = obs[order], ranks[order], items[order]
+    sizes = np.bincount(obs, minlength=len(ids))
+    starts = np.cumsum(sizes) - sizes
+    try:
+        if (ranks != np.arange(len(obs)) - starts[obs] + 1).any():
+            raise ValueError("ranks are not 1..m")
+        y = np.array([int(cutoffs.get(oid, m)) for oid, m in zip(ids, sizes.tolist())], dtype=np.int64)
+        y = np.where(y == -1, sizes, y)  # Observation's sentinel for a full ranking
+        n = int(meta.get("n", 1 + int(items.max()))) if len(ids) else int(meta.get("n", 1))
+        blocks = {}
+        for m, cutoff in dict.fromkeys(zip(sizes.tolist(), y.tolist())):
+            idx = np.flatnonzero((sizes == m) & (y == cutoff))
+            blocks[m, cutoff] = idx, items[starts[idx][:, None] + np.arange(m)]
+        return Dataset.from_blocks(n, blocks)
+    except (TypeError, ValueError, OverflowError):
+        # raise the error that checking observation by observation meets first
+        for oid, ranks_k, items_k in zip(ids, np.split(ranks, starts[1:]), np.split(items, starts[1:])):
+            if ranks_k.tolist() != list(range(1, len(ranks_k) + 1)):
+                raise DataFormatError(f"{path}: observation {oid} ranks {ranks_k.tolist()} are not 1..m") from None
+            Observation(items_k.tolist(), int(cutoffs.get(oid, len(ranks_k))))
+        raise
 
-    n = int(meta.get("n", 1 + max(max(o.ranking) for o in observations))) if observations else int(meta.get("n", 1))
-    return Dataset(n, observations)
+
+def _codes(values, ids) -> np.ndarray:
+    """Index of each value in ``ids``."""
+    index = {v: i for i, v in enumerate(ids)}
+    return np.fromiter(map(index.__getitem__, values), dtype=np.int64, count=len(values))
+
+
+def _raise_bad_row(path):
+    """Raise the DataFormatError of the first row whose obs_id, rank or item
+    cell is missing or not an integer, naming the row as csv.DictReader reads it."""
+    with open(path, newline="") as f:
+        for lineno, row in enumerate(csv.DictReader(f), start=2):
+            try:
+                row["obs_id"].strip(), int(row["rank"]), int(row["item"])
+            except (AttributeError, TypeError, ValueError) as exc:  # None: a short row's missing cell
+                raise DataFormatError(f"{path}:{lineno}: bad row {row}") from exc

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +18,7 @@ import numpy as np
 
 from plrank import DataFormatError, Dataset, Observation, apply_estimator_cutoff, quasi_hessian
 from plrank.harness import IngestResult
+from plrank.model import sidecar_path
 
 
 def prefix_weights(u_edge: np.ndarray, prefix: tuple[int, ...]) -> tuple[float, np.ndarray]:
@@ -202,3 +204,44 @@ def ingest_races_reference(path, min_races: int = 10) -> IngestResult:
         races_dropped_small=races_dropped,
         tie_broken_races=tie_broken,
     )
+
+
+def load_dataset_reference(path) -> Dataset:
+    """Dataset reading with one ``csv.DictReader`` dict per row, a dict of
+    lists per obs_id and one ``Observation`` per observation;
+    :func:`plrank.load_dataset` must give the same blocks and ``n``, or the
+    same error. A short row is a bad row (its missing cells read as None)."""
+    path = Path(path)
+    rows: dict[str, list[tuple[int, int]]] = {}
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None or not {"obs_id", "rank", "item"} <= set(reader.fieldnames):
+            raise DataFormatError(f"{path}: expected header obs_id,rank,item")
+        for lineno, row in enumerate(reader, start=2):
+            try:
+                oid = row["obs_id"].strip()
+                rank = int(row["rank"])
+                item = int(row["item"])
+            except (ValueError, AttributeError, TypeError) as exc:
+                raise DataFormatError(f"{path}:{lineno}: bad row {row}") from exc
+            rows.setdefault(oid, []).append((rank, item))
+
+    side = sidecar_path(path)
+    meta = {}
+    if side.exists():
+        with open(side) as f:
+            meta = json.load(f)
+    cutoffs = meta.get("cutoffs", {})
+
+    observations = []
+    for oid, entries in rows.items():
+        entries.sort()
+        ranks = [r for r, _ in entries]
+        if ranks != list(range(1, len(entries) + 1)):
+            raise DataFormatError(f"{path}: observation {oid} ranks {ranks} are not 1..m")
+        ranking = tuple(item for _, item in entries)
+        y = int(cutoffs.get(str(oid), len(ranking)))
+        observations.append(Observation(ranking, y))
+
+    n = int(meta.get("n", 1 + max(max(o.ranking) for o in observations))) if observations else int(meta.get("n", 1))
+    return Dataset(n, observations)

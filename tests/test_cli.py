@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import plrank
 from plrank import Dataset, Observation, center, sample_rankings, save_dataset
 from plrank.cli import main
 
@@ -165,3 +169,39 @@ def test_ingest_fixture_outputs_are_golden(tmp_path):
         "dataset.json": "ca43303708004819a0dd6fa2d355cdc1725effb8b5f16bc9f64868c68937ace1",
         "dataset_ids.json": "e748389eb248cffb793e6246b40c9bd3e32701bbe4599c424958564e80f89830",
     }
+
+
+_PIPELINE_SCRIPT = """
+import json, sys
+from plrank.cli import main
+
+races, out = sys.argv[1], sys.argv[2]
+data, fit = f"{out}/dataset.csv", f"{out}/qmle.json"
+for argv in (
+    ["ingest", "--races", races, "--min-races", "10", "--out", data],
+    ["fit", "--data", data, "--estimator", "qmle", "--out", fit],
+    ["infer", "--fit", fit, "--data", data, "--out", f"{out}/se.csv"],
+    ["fit", "--data", data, "--estimator", "full", "--out", f"{out}/full.json"],
+):
+    assert main(argv) == 0, argv
+pipeline = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert main(["graph-diag", "--data", data, "--out", f"{out}/diag.json"]) == 0
+diagnostics = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"pipeline": pipeline, "diagnostics": diagnostics}))
+"""
+
+
+def test_race_pipeline_loads_no_scipy(tmp_path):
+    """ingest, fit qmle, infer and fit full in one fresh interpreter import
+    no scipy module; graph-diag afterwards still works and loads it."""
+    fixture = Path(__file__).parent / "data" / "synthetic_races.csv"
+    src = str(Path(plrank.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _PIPELINE_SCRIPT, str(fixture), str(tmp_path)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    modules = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert modules["pipeline"] == []
+    assert "scipy.linalg" in modules["diagnostics"]
+    assert json.loads((tmp_path / "diag.json").read_text())["connected"] is True

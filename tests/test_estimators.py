@@ -4,9 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
+from scipy.sparse.csgraph import connected_components
 from strategies import cutoff_datasets
 
 from plrank import (
@@ -37,7 +39,7 @@ from plrank import (
 )
 from plrank.estimators import _mm_marginal_sweep, existence_check_bruteforce
 from plrank.likelihood import _marginal_loglik_from_groups, _pair_block
-from plrank.model import _dominance_arcs, broken_pairs, grouped_rankings
+from plrank.model import SWEEP_ROUNDS, _dominance_arcs, _reaches_all, broken_pairs, grouped_rankings
 
 TIGHT = FitConfig(tol_grad_inf=1e-12, max_iter=20000)
 
@@ -151,6 +153,37 @@ def _closure(n, arcs):
         if (step == reach).all():
             return reach
         reach = step
+
+
+def _strongly_connected(ds):
+    """csgraph's verdict on the loser -> winner digraph of every broken pair."""
+    pairs = broken_pairs(ds)
+    adj = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 1], pairs[:, 0])), shape=(ds.n, ds.n))
+    return connected_components(adj, directed=True, connection="strong")[0] == 1
+
+
+class TestStrongConnectivitySweep:
+    @settings(max_examples=300, deadline=None)
+    @given(cutoff_datasets(max_items=8, max_obs=12))
+    def test_sweeps_and_check_match_csgraph(self, ds):
+        # n <= 8 needs at most 7 rounds, so the sweeps decide without the cap
+        arcs, expected = _dominance_arcs(ds), _strongly_connected(ds)
+        assert (_reaches_all(arcs, ds.n) and _reaches_all(arcs[:, ::-1], ds.n)) == expected
+        assert existence_check(ds).exists == expected
+
+    def test_unreached_items(self):
+        ds = Dataset(4, [Observation((0, 1)), Observation((1, 0)), Observation((0, 1, 2))])
+        assert not _reaches_all(_dominance_arcs(ds), 4)
+        assert not existence_check(ds).exists
+
+    def test_cycle_longer_than_round_cap_takes_csgraph(self):
+        n = SWEEP_ROUNDS + 6
+        cycle = Dataset(n, [Observation(((k + 1) % n, k)) for k in range(n)])  # arcs k -> k + 1
+        assert not _reaches_all(_dominance_arcs(cycle), n)  # the rounds run out before item n - 1
+        assert existence_check(cycle).exists
+        path = Dataset(n, [Observation((k + 1, k)) for k in range(n - 1)])
+        res = existence_check(path)
+        assert not res.exists and res.failing_partition == (n - 1,)
 
 
 class TestDominanceArcs:

@@ -4,10 +4,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from oracles import expected_neg_hessian_loop, leave_one_out_gap_rebuild
+from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2, ks_2samp
-from strategies import subset_draws
+from strategies import cutoff_datasets, subset_draws
 
 from plrank import (
     BlockModelConfig,
@@ -34,6 +36,7 @@ from plrank import (
 )
 from plrank.graphs import _random_subsets, chain_score, enumerate_admissible_chains, modified_cheeger_bruteforce, sample_uniform_edges
 from plrank.harness import sample_design_edges
+from plrank.model import SWEEP_ROUNDS
 
 
 def constant_config(n, m, p):
@@ -275,6 +278,20 @@ class TestBoundaryAndCheeger:
     def test_disconnected_is_zero(self):
         assert modified_cheeger([(0, 1), (2, 3)], 4) == 0.0
         assert not is_connected([(0, 1), (2, 3)], 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cutoff_datasets(max_items=10, max_obs=8))
+    def test_is_connected_matches_csgraph(self, ds):
+        pairs = np.array([p for e in ds.edges for p in itertools.combinations(e, 2)])
+        adj = sp.coo_matrix((np.ones(len(pairs)), (pairs[:, 0], pairs[:, 1])), shape=(ds.n, ds.n))
+        expected = connected_components(adj, directed=False)[0] == 1
+        assert is_connected(ds, ds.n) == expected
+        assert is_connected(ds.edges, ds.n) == expected
+
+    def test_path_longer_than_round_cap_is_connected(self):
+        n = SWEEP_ROUNDS + 6
+        assert is_connected([(k, k + 1) for k in range(n - 1)], n)
+        assert not is_connected([(k, k + 1) for k in range(n - 2)], n)
 
     def test_complete_graph(self):
         edges = list(itertools.combinations(range(4), 2))

@@ -407,6 +407,18 @@ class TestIngestAgainstReference:
             np.testing.assert_array_equal(got_blocks[key][0], idx)
             np.testing.assert_array_equal(got_blocks[key][1], rankings)
 
+    @pytest.mark.parametrize("bad_row", ["", "1,z,x,c\n", "2,z\n"])
+    def test_blank_lines_and_repeated_column_as_reference(self, tmp_path, bad_row):
+        # blank lines are skipped uncounted; of two horse_id columns the last counts
+        path = tmp_path / "races.csv"
+        path.write_text(f"race_id,horse_id,finish_position,horse_id\n\n1,z,1,a\n1,z,2,b\n\n{bad_row}2,z,1,b\n2,z,2,a\n")
+        got, want = _outcome(ingest_races, path, 1), _outcome(ingest_races_reference, path, 1)
+        if bad_row:
+            assert got == want == (DataFormatError, f"{path}: 1 malformed/duplicate rows (lines 4)")
+        else:
+            assert got.horse_ids == want.horse_ids == ["a", "b"]
+            assert got.dataset.observations == want.dataset.observations
+
     def test_superscript_id_of_dropped_race_is_ignored(self, tmp_path):
         # "²".isdigit() holds but int("²") fails; a one-horse race is dropped
         # before its id is ever ordered against another

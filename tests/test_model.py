@@ -1,10 +1,12 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import load_dataset_reference
 from strategies import cutoff_datasets
 
 from plrank import (
@@ -356,3 +358,93 @@ class TestStoredBlocks:
         assert path.read_bytes() == "".join(r + "\r\n" for r in rows).encode()
         sidecar = '{\n"cutoffs": {\n"0": 2,\n"2": 1\n},\n"n": 5\n}'
         assert (tmp_path / "data.json").read_text() == sidecar
+
+
+_OBS_IDS = ("0", "1", "12", " 7", "007", "a", "b c ", "", " x y")
+_BAD_CELLS = ("x", "", "1.5", " ")
+
+
+@st.composite
+def dataset_files(draw):
+    """(CSV text, sidecar dict or None) for ``load_dataset``: integer, string
+    and space-padded obs_ids, rows shuffled, blank lines, and, when ``bad``,
+    bad cells, short rows, ranks that are not 1..m (also from two
+    observations under one obs_id), repeated and negative items and invalid
+    cutoffs. The header can reorder the columns, add one, or repeat ``item``
+    (the last cell counts)."""
+    bad = draw(st.booleans())
+    n = draw(st.integers(2, 6))
+    records, cutoffs = [], {}
+    oids = draw(st.lists(st.sampled_from(_OBS_IDS), max_size=5, unique=True))
+    for oid in oids:
+        if bad and draw(st.integers(0, 5)) == 0:
+            oid = " " + draw(st.sampled_from(oids))  # reads as an earlier obs_id
+        m = draw(st.integers(1 if bad else 2, n))
+        items = draw(st.permutations(range(n)))[:m]
+        ranks = list(range(1, m + 1))
+        if bad and draw(st.integers(0, 3)) == 0:
+            slot = draw(st.integers(0, m - 1))
+            flaw = draw(st.sampled_from(["rank", "repeat", "negative"]))
+            if flaw == "rank":
+                ranks[slot] = draw(st.integers(0, m + 1))
+            else:
+                items[slot] = -1 if flaw == "negative" else items[(slot + 1) % m]
+        records += [{"obs_id": oid, "rank": str(r), "item": str(k)} for r, k in zip(ranks, items)]
+        if draw(st.booleans()):
+            valid = st.integers(1, m) | st.just(-1)
+            invalid = st.sampled_from([0, m + 1, "2", 2.5, None, "x"])
+            cutoffs[oid.strip()] = draw(invalid if bad and draw(st.integers(0, 3)) == 0 else valid)
+    records = draw(st.permutations(records))
+    header = draw(st.sampled_from([
+        ["obs_id", "rank", "item"], ["item", "obs_id", "rank"], ["obs_id", "rank", "item", "extra"], ["item", "obs_id", "rank", "item"],
+    ]))
+    lines = []
+    for record in records:
+        cells = [record.get(name, "z") for name in header]
+        if header.count("item") == 2:
+            cells[0] = "z"  # the first of two item columns is ignored
+        if bad and draw(st.integers(0, 9)) == 0:
+            if draw(st.booleans()):
+                cells = cells[: draw(st.integers(1, len(cells) - 1))]  # short row
+            else:
+                cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(_BAD_CELLS))
+        lines.append(",".join(cells))
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")  # blank line
+    meta = None
+    if draw(st.booleans()):
+        meta = {"cutoffs": cutoffs}
+        if draw(st.booleans()):
+            meta["n"] = draw(st.integers(0 if bad else n, n + 2))
+    return "\n".join([",".join(header), *lines]) + "\n", meta
+
+
+def _loaded(load, path):
+    try:
+        return load(path)
+    except (TypeError, ValueError) as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestLoadAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(dataset_files())
+    def test_same_blocks_or_error_as_reference(self, tmp_path_factory, file):
+        text, meta = file
+        path = tmp_path_factory.mktemp("load") / "data.csv"
+        path.write_text(text)
+        if meta is not None:
+            path.with_suffix(".json").write_text(json.dumps(meta))
+        got, want = _loaded(load_dataset, path), _loaded(load_dataset_reference, path)
+        assert isinstance(got, Dataset) == isinstance(want, Dataset)
+        if not isinstance(want, Dataset):
+            assert got == want
+            return
+        assert got.n == want.n
+        assert _blocks_equal(grouped_rankings(got), grouped_rankings(want))
+
+    def test_short_row_is_a_bad_row(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("obs_id,rank,item\na,1,2\n\na,2\n")
+        with pytest.raises(DataFormatError, match=r":3: bad row \{'obs_id': 'a', 'rank': '2', 'item': None\}"):
+            load_dataset(path)
