@@ -40,6 +40,8 @@ def _load_dataset(path):
         raise CliError(f"cannot read {path}: {exc}", DATA_ERROR)
     except DataFormatError as exc:
         raise CliError(str(exc), DATA_ERROR)
+    except ValueError as exc:  # a ranking, cutoff or item the model does not admit
+        raise CliError(f"{path}: {exc}", DATA_ERROR)
 
 
 def _cmd_fit(args) -> int:

@@ -21,11 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import apply_estimator_cutoff
-from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_weights
+from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_items, _pair_weights
 from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _reaches_all, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
+_CHEEGER_CHUNK = 1 << 12  # subsets scanned per batch by modified_cheeger
 
 
 class CapExceededError(RuntimeError):
@@ -295,25 +296,30 @@ def degree_stats(edges, n: int):
     return deg, int(deg.min()), int(deg.max())
 
 
+def _pair_counts(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Co-occurring item pairs j < k with their counts N_jk, in (j, k) order:
+    one ``np.unique`` over the codes j n + k of every edge's pairs."""
+    j, k, _ = _pair_items(grouped_rankings(dataset))
+    codes, counts = np.unique(j * dataset.n + k, return_counts=True)
+    return *np.divmod(codes, dataset.n), counts
+
+
 def shared_edges(edges, n: int) -> dict[tuple[int, int], int]:
-    """Co-occurrence counts N_jk over unordered vertex pairs (multiplicity)."""
-    counts: dict[tuple[int, int], int] = {}
-    for e in edges:
-        for j, k in itertools.combinations(sorted(e), 2):
-            counts[(j, k)] = counts.get((j, k), 0) + 1
-    return counts
+    """Co-occurrence counts N_jk over unordered vertex pairs j < k
+    (multiplicity), keys in (j, k) order; ``edges`` is an edge list or a
+    Dataset."""
+    j, k, counts = _pair_counts(_as_dataset(edges, n))
+    return dict(zip(zip(j.tolist(), k.tolist()), counts.tolist()))
 
 
 def edge_sharing_ratio(edges, n: int) -> float:
     """max over ordered vertex pairs of N_jk / N_j (correlation strength of
-    the per-item estimates; <= 1/min-degree on simple pairwise graphs);
-    ``edges`` is an edge list or a Dataset."""
+    the per-item estimates; <= 1/min-degree on simple pairwise graphs), 0.0
+    without edges; ``edges`` is an edge list or a Dataset."""
     dataset = _as_dataset(edges, n)
+    j, k, counts = _pair_counts(dataset)
     deg = dataset.degrees()
-    best = 0.0
-    for (j, k), njk in shared_edges(dataset.edges, n).items():
-        best = max(best, njk / deg[j], njk / deg[k])
-    return best
+    return float(max((counts / deg[j]).max(initial=0.0), (counts / deg[k]).max(initial=0.0)))
 
 
 def boundary_edges(edges, subset) -> list[Edge]:
@@ -336,7 +342,7 @@ def is_connected(edges, n: int) -> bool:
     return connected_components(adj, directed=False)[0] == 1
 
 
-def modified_cheeger(edges, n: int, cap: int = DEFAULT_CHEEGER_CAP, chunk: int = 1 << 12) -> float:
+def modified_cheeger(edges, n: int, cap: int = DEFAULT_CHEEGER_CAP) -> float:
     """min over nonempty proper subsets U of |boundary(U)| / min(|U|, |U^c|),
     by exact scan of all subsets (positive iff connected). ``n`` is capped."""
     if n > cap:
@@ -348,8 +354,8 @@ def modified_cheeger(edges, n: int, cap: int = DEFAULT_CHEEGER_CAP, chunk: int =
     best = math.inf
     # U and its complement give the same value: scan subsets containing vertex 0
     subsets = np.arange(1, full + 1, 2, dtype=np.uint64)
-    for lo in range(0, subsets.size, chunk):
-        u = subsets[lo : lo + chunk]
+    for lo in range(0, subsets.size, _CHEEGER_CHUNK):
+        u = subsets[lo : lo + _CHEEGER_CHUNK]
         if int(u[-1]) == full:
             u = u[:-1]
             if u.size == 0:
@@ -599,7 +605,7 @@ def graph_diagnostics(
         n_edges=len(dataset),
         degree_min=dmin,
         degree_max=dmax,
-        r_ratio=edge_sharing_ratio(dataset, dataset.n) if len(dataset) else 0.0,
+        r_ratio=edge_sharing_ratio(dataset, dataset.n),
         connected=is_connected(dataset, dataset.n),
     )
     if spectral and dmin > 0:

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, apply_estimator_cutoff
-from .likelihood import _check_prefix_budget, _prefixes
-from .model import Dataset, check_utilities, grouped_rankings
+from .likelihood import _bradley_terry_block, _check_prefix_budget, _prefixes
+from .model import Dataset, _edge_scores, _pairs, _triples, check_utilities, grouped_rankings
 
 #: Default cap on the enumerated prefixes of any one edge in an inference call.
 DEFAULT_PREFIX_BUDGET = 10**7
+_PREFIX_CHUNK = 1 << 21  # elements the temporaries of a prefix batch hold, about
 
 
 def normal_quantile(p: float) -> float:
@@ -103,16 +104,15 @@ def _prefix_cost(m: int, cutoff: int) -> int:
     return sum(math.perm(m, d) for d in range(1, min(cutoff, m - 1) + 1))
 
 
-def batch_marginal_inverse_variance(
-    u, dataset: Dataset, prefix_budget: int = DEFAULT_PREFIX_BUDGET, chunk: int = 1 << 21
-):
+def batch_marginal_inverse_variance(u, dataset: Dataset, prefix_budget: int = DEFAULT_PREFIX_BUDGET):
     """All items at once: (inverse-variance vector, enumerated-prefix count).
 
     Enumerates ordered depth-d position tuples once per (edge size, cutoff)
     group; the tuple's last slot identifies the item, so one pass covers every
     k. Raises :class:`EnumerationBudgetError` (with per-edge counts) if some
     edge needs more than ``prefix_budget`` prefixes; the dataset's total is
-    bounded only through memory, by chunking.
+    bounded only through memory, by chunking. Scores are shifted by each
+    edge's own maximum (every term is a ratio within one edge).
     """
     u = check_utilities(u, dataset.n)
     groups = grouped_rankings(dataset)
@@ -123,12 +123,12 @@ def batch_marginal_inverse_variance(
     for (m, cutoff), (_, rankings) in groups.items():
         edges = np.sort(rankings, axis=1)
         total_cost += edges.shape[0] * _prefix_cost(m, cutoff)
-        scores = np.exp(u[edges] - u.max())
+        scores = _edge_scores(u, edges)
         totals = scores.sum(axis=1)
         for depth in range(1, min(cutoff, m - 1) + 1):
             perms = _prefixes(m, depth)
             n_p = perms.shape[0]
-            rows_per_chunk = max(1, chunk // max(1, n_p * depth))
+            rows_per_chunk = max(1, _PREFIX_CHUNK // max(1, n_p * depth))
             for lo in range(0, edges.shape[0], rows_per_chunk):
                 sl = slice(lo, lo + rows_per_chunk)
                 g = scores[sl][:, perms]  # (ne, np, depth)
@@ -155,8 +155,8 @@ def pairwise_info_term(u, edge, k: int) -> float:
     out = 0.0
     for j in edge:
         if j != k:
-            p = 1.0 / (1.0 + math.exp(u[j] - u[k]))
-            out += p * (1.0 - p)
+            q = math.exp(-abs(u[j] - u[k]))  # p (1 - p) = q / (1 + q)**2 for p = 1 / (1 + e^{u_j - u_k})
+            out += q / (1.0 + q) ** 2
     return out
 
 
@@ -195,33 +195,29 @@ def qmle_inverse_variance(u, dataset: Dataset, k: int) -> float:
 
 
 def batch_qmle_inverse_variance(u, dataset: Dataset):
-    """All items at once: (inverse-variance vector, evaluated-term count)."""
+    """All items at once: (inverse-variance vector, evaluated-term count).
+
+    The information adds the Bradley-Terry weight of each edge's
+    :func:`plrank.model._pairs` rows to both items; the score variance adds,
+    besides, the cross term of each :func:`plrank.model._triples` row to its
+    centre. An edge costs two terms per pair and one per triple."""
     u = check_utilities(u, dataset.n)
-    info = np.zeros(dataset.n)
-    var = np.zeros(dataset.n)
+    info, var = np.zeros((2, dataset.n))
     cost = 0
     for (m, _), (_, rankings) in grouped_rankings(dataset).items():
         edges = np.sort(rankings, axis=1)
-        a = np.exp(u[edges] - u.max())
-        info_cols = np.zeros_like(a)
-        extra_cols = np.zeros_like(a)
-        for p, q in itertools.combinations(range(m), 2):
-            w = a[:, p] * a[:, q] / (a[:, p] + a[:, q]) ** 2
-            info_cols[:, p] += w
-            info_cols[:, q] += w
-        for p in range(m):
-            ak = a[:, p]
-            for q, r in itertools.combinations([i for i in range(m) if i != p], 2):
-                extra_cols[:, p] += 2.0 * (
-                    ak / (ak + a[:, q] + a[:, r]) - ak**2 / ((ak + a[:, q]) * (ak + a[:, r]))
-                )
-        np.add.at(info, edges, info_cols)
-        np.add.at(var, edges, info_cols + extra_cols)
-        cost += edges.shape[0] * (m * (m - 1) + m * (m - 1) * (m - 2) // 2)
-    rho2 = np.zeros(dataset.n)
-    nz = var > 0
-    rho2[nz] = info[nz] ** 2 / var[nz]
-    return rho2, cost
+        pairs, triples = _pairs(m), _triples(m)
+        w = _bradley_terry_block(u, edges, m).ravel()
+        for col in pairs.T:
+            info += np.bincount(np.take(edges, col, axis=1).ravel(), w, minlength=dataset.n)
+        a = _edge_scores(u, edges).T.copy()  # (m, n_e): one contiguous row per position
+        terms = np.zeros_like(a)
+        for k, q, r in triples.tolist():
+            terms[k] += 2.0 * (a[k] / (a[k] + a[q] + a[r]) - a[k] ** 2 / ((a[k] + a[q]) * (a[k] + a[r])))
+        var += np.bincount(edges.T.ravel(), terms.ravel(), minlength=dataset.n)
+        cost += edges.shape[0] * (2 * len(pairs) + len(triples))
+    var += info
+    return np.divide(info**2, var, out=np.zeros(dataset.n), where=var > 0), cost
 
 
 @dataclass

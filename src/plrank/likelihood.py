@@ -24,7 +24,9 @@ import math
 
 import numpy as np
 
-from .model import Dataset, _redraw, _suffix_logsumexp, broken_pairs, check_utilities, grouped_rankings
+from .model import Dataset, _edge_scores, _pairs, _redraw, _suffix_logsumexp, broken_pairs, check_utilities, grouped_rankings
+
+_HESSIAN_CHUNK = 1 << 16  # elements the temporaries of an expected-Hessian batch hold, about
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -136,8 +138,7 @@ def _observed_hessian_block(u, rankings: np.ndarray, y: int) -> np.ndarray:
     ``y``, one column per position pair (p, q), p < q, of :func:`_pairs`:
     ``a_p a_q sum_{j <= min(p, y-1)} 1/S_j**2``, with scores shifted by each
     row's own maximum (the shift cancels)."""
-    vals = u[rankings]
-    a = np.exp(vals - vals.max(axis=1, keepdims=True))
+    a = _edge_scores(u, rankings)
     s = np.cumsum(a[:, ::-1], axis=1)[:, ::-1][:, :y]
     c2 = np.cumsum(1.0 / s**2, axis=1)
     p, q = _pairs(rankings.shape[1]).T
@@ -191,14 +192,6 @@ def _prefixes(m: int, depth: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _pairs(m: int) -> np.ndarray:
-    """Local position pairs (p, q), p < q, of an m-edge (n_pairs, 2), read-only."""
-    out = np.asarray(list(itertools.combinations(range(m), 2)), dtype=np.int64).reshape(-1, 2)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=None)
 def _unranked_maps(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     """0/1 maps of the depth-``d`` prefixes of :func:`_prefixes`: the positions
     a prefix leaves unranked (n_p, m), and the position pairs of
@@ -214,7 +207,7 @@ def _unranked_maps(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return left, both
 
 
-def _expected_hessian_block(u, edges: np.ndarray, y: int, chunk: int = 1 << 16) -> np.ndarray:
+def _expected_hessian_block(u, edges: np.ndarray, y: int) -> np.ndarray:
     """Off-diagonal expected-Hessian weights of same-size edges (n_e, m) at
     cutoff ``y``: one column per position pair of :func:`_pairs`.
 
@@ -226,15 +219,14 @@ def _expected_hessian_block(u, edges: np.ndarray, y: int, chunk: int = 1 << 16) 
     product with the 0/1 unranked map (a sum of positive scores, no
     cancellation), and one product with the 0/1 pair map adds the depth to
     every edge's block. Scores are shifted by each edge's own maximum (the
-    shift cancels), and temporaries hold about ``chunk`` elements.
+    shift cancels), and temporaries hold about :data:`_HESSIAN_CHUNK` elements.
     """
     m = edges.shape[1]
     depth = min(y, m - 1)  # depth m - 1 leaves one item: no unranked pair
     pairs = _pairs(m)
-    vals = u[edges]
-    a = np.exp(vals - vals.max(axis=1, keepdims=True))
+    a = _edge_scores(u, edges)
     out = np.zeros((edges.shape[0], len(pairs)))
-    rows = max(1, chunk // max(math.perm(m, depth - 1), len(pairs)))
+    rows = max(1, _HESSIAN_CHUNK // max(math.perm(m, depth - 1), len(pairs)))
     for lo in range(0, edges.shape[0], rows):
         ac = a[lo:lo + rows]
         prob = np.ones((ac.shape[0], 1))
@@ -251,9 +243,10 @@ def _expected_hessian_block(u, edges: np.ndarray, y: int, chunk: int = 1 << 16) 
 def _bradley_terry_block(u, edges: np.ndarray, y: int) -> np.ndarray:
     """Bradley-Terry weight ``e^{u_p+u_q}/(e^{u_p}+e^{u_q})**2`` of every item
     pair of same-size edges (the QMLE's block; the cutoff is unused)."""
-    pairs = _pairs(edges.shape[1])
-    q = np.exp(-np.abs(u[edges[:, pairs[:, 0]]] - u[edges[:, pairs[:, 1]]]))
-    return q / (1.0 + q) ** 2
+    p, q = _pairs(edges.shape[1]).T
+    vals = u[edges]
+    d = np.exp(-np.abs(vals[:, p] - vals[:, q]))
+    return d / (1.0 + d) ** 2
 
 
 def _check_prefix_budget(groups, cost, budget: int, what: str) -> None:
@@ -272,24 +265,27 @@ def _check_prefix_budget(groups, cost, budget: int, what: str) -> None:
         )
 
 
-def _pair_weights(u, groups, block=_expected_hessian_block, sort: bool = True):
-    """Per-edge pair weights ``(i, j, w, obs)`` over the (m, y) groups of
-    :func:`grouped_rankings`: items i and j, weight w and observation index
-    of every position pair of every edge, from ``block(u, edges, y)``. Edges
-    are the sorted rankings, or the rankings themselves when ``sort`` is
-    False (the observed Hessian depends on ranking order)."""
-    i, j, w, obs = [], [], [], []
-    for (m, y), (idx, rankings) in groups.items():
+def _pair_items(groups, sort: bool = True):
+    """Items i, j at the positions of every :func:`_pairs` row of every edge,
+    and its observation index, group by group: ``(i, j, obs)``. Edges are the
+    sorted rankings (so i < j), or the rankings when ``sort`` is False."""
+    empty = np.empty(0, dtype=np.int64)
+    i, j, obs = [empty], [empty], [empty]
+    for (m, _), (idx, rankings) in groups.items():
         edges = np.sort(rankings, axis=1) if sort else rankings
-        pairs = _pairs(m)
-        i.append(edges[:, pairs[:, 0]].ravel())
-        j.append(edges[:, pairs[:, 1]].ravel())
-        w.append(block(u, edges, y).ravel())
-        obs.append(np.repeat(idx, len(pairs)))
-    if not w:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.empty(0), empty
-    return np.concatenate(i), np.concatenate(j), np.concatenate(w), np.concatenate(obs)
+        p, q = _pairs(m).T
+        i.append(np.take(edges, p, axis=1).ravel())
+        j.append(np.take(edges, q, axis=1).ravel())
+        obs.append(np.repeat(idx, len(p)))
+    return np.concatenate(i), np.concatenate(j), np.concatenate(obs)
+
+
+def _pair_weights(u, groups, block=_expected_hessian_block, sort: bool = True):
+    """Per-edge pair weights ``(i, j, w, obs)``: the :func:`_pair_items`
+    with the weight w of each pair from ``block(u, edges, y)``."""
+    i, j, obs = _pair_items(groups, sort)
+    w = [block(u, np.sort(rankings, axis=1) if sort else rankings, y).ravel() for (_, y), (_, rankings) in groups.items()]
+    return i, j, np.concatenate([np.empty(0), *w]), obs
 
 
 def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6):

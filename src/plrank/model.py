@@ -16,6 +16,7 @@ access, so mutating that list does not change the dataset.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -199,6 +200,13 @@ def _checked_blocks(n: int, blocks) -> dict[tuple[int, int], tuple[np.ndarray, n
     return dict(sorted(out.items(), key=lambda group: group[1][0][0]))
 
 
+def _edge_scores(u: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """exp(u) of the items of each row of ``edges``, shifted by the row's own
+    maximum: ratios within an edge are exact, and no row underflows whole."""
+    vals = u[edges]
+    return np.exp(vals - functools.reduce(np.maximum, vals.T)[:, None])
+
+
 def _suffix_logsumexp(values: np.ndarray) -> np.ndarray:
     """logsumexp over suffixes: out[j] = log sum_{t>=j} exp(values[t])."""
     return np.logaddexp.accumulate(values[..., ::-1], axis=-1)[..., ::-1]
@@ -248,7 +256,8 @@ def _edge_dataset(edges, n: int | None = None) -> Dataset:
     blocks = {}
     for m in dict.fromkeys(sizes.tolist()):
         idx = np.flatnonzero(sizes == m)
-        blocks[m, m] = idx, np.array([edges[i] for i in idx.tolist()], dtype=np.int64).reshape(-1, m)
+        items = itertools.chain.from_iterable(map(edges.__getitem__, idx.tolist()))
+        blocks[m, m] = idx, np.fromiter(items, dtype=np.int64, count=len(idx) * m).reshape(-1, m)
     n = 1 + max(int(rankings.max()) for _, rankings in blocks.values()) if n is None else n
     return Dataset.from_blocks(n, blocks)
 
@@ -307,22 +316,40 @@ def full_breaking(obs: Observation) -> list[tuple[int, int]]:
     return [(pi[j], pi[t]) for j in range(min(y, obs.m - 1)) for t in range(j + 1, obs.m)]
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(m: int) -> np.ndarray:
+    """Position pairs (p, q), p < q, of an m-edge, p-major as in :func:`full_breaking`
+    (read-only): the per-edge pair table of every pairwise consumer."""
+    out = np.asarray(list(itertools.combinations(range(m), 2)), dtype=np.int64).reshape(-1, 2)
+    out.flags.writeable = False
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _triples(m: int) -> np.ndarray:
+    """Position triples (k, q, r) of an m-edge, a centre k and a pair q < r of
+    the other positions, centre-major (read-only): the QMLE's cross terms."""
+    rows = [(k, q, r) for k in range(m) for q, r in itertools.combinations([i for i in range(m) if i != k], 2)]
+    out = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    out.flags.writeable = False
+    return out
+
+
 def broken_pairs(dataset: Dataset) -> np.ndarray:
     """(n_pairs, 2) winner/loser array from full-breaking every observation:
     the rows of :func:`full_breaking`, concatenated in observation order.
 
-    Each (edge size, cutoff) group of :func:`grouped_rankings` fills its rows
-    from one (winner position, loser position) template.
+    Each (edge size, cutoff) group fills its rows from the :func:`_pairs`
+    rows whose winner is inside the cutoff.
     """
     groups = grouped_rankings(dataset)
-    starts, total = _row_starts(groups, lambda m, y: int((np.triu_indices(m, 1)[0] < y).sum()))
+    starts, total = _row_starts(groups, lambda m, y: int((_pairs(m)[:, 0] < y).sum()))
     pairs = np.empty((total, 2), dtype=np.int64)
     for (m, y), (idx, rankings) in groups.items():
-        win, lose = np.triu_indices(m, 1)  # j < t, j-major as in full_breaking
-        keep = win < y  # winners inside the cutoff (win <= m - 2 always)
-        rows = starts[idx][:, None] + np.arange(keep.sum())
-        pairs[rows, 0] = rankings[:, win[keep]]
-        pairs[rows, 1] = rankings[:, lose[keep]]
+        win, lose = _pairs(m)[_pairs(m)[:, 0] < y].T
+        rows = starts[idx][:, None] + np.arange(len(win))
+        pairs[rows, 0] = rankings[:, win]
+        pairs[rows, 1] = rankings[:, lose]
     return pairs
 
 

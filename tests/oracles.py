@@ -87,6 +87,29 @@ def leave_one_out_gap_rebuild(dataset: Dataset, u, estimator: str) -> float:
     return worst
 
 
+def shared_edges_reference(edges) -> dict[tuple[int, int], int]:
+    """Co-occurrence counts N_jk of the item pairs j < k of every edge, one
+    dict update per pair."""
+    counts: dict[tuple[int, int], int] = {}
+    for e in edges:
+        for j, k in itertools.combinations(sorted(e), 2):
+            counts[(j, k)] = counts.get((j, k), 0) + 1
+    return counts
+
+
+def edge_sharing_ratio_reference(edges) -> float:
+    """max of N_jk / N_j and N_jk / N_k over the pairs of
+    :func:`shared_edges_reference`, with degrees counted edge by edge."""
+    degree: dict[int, int] = {}
+    for e in edges:
+        for k in e:
+            degree[k] = degree.get(k, 0) + 1
+    best = 0.0
+    for (j, k), njk in shared_edges_reference(edges).items():
+        best = max(best, njk / degree[j], njk / degree[k])
+    return best
+
+
 @dataclass(frozen=True)
 class RaceRecord:
     """One finish-line row: a horse's position (1 = winner) within a race."""

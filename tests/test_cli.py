@@ -57,6 +57,14 @@ def test_fit_nonexistence_is_data_error(tmp_path):
     assert main(["fit", "--data", str(path), "--estimator", "full", "--out", str(tmp_path / "x.json")]) == 3
 
 
+def test_fit_inadmissible_ranking_is_data_error(tmp_path, capsys):
+    path = tmp_path / "repeated.csv"
+    path.write_text("obs_id,rank,item\na,1,0\na,2,0\nb,1,1\nb,2,0\n")
+    assert main(["fit", "--data", str(path), "--estimator", "qmle", "--out", str(tmp_path / "x.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "duplicate items" in err
+
+
 def test_infer_budget_exhaustion_is_data_error(tmp_path, dataset_csv):
     fit_path = tmp_path / "fit.json"
     main(["fit", "--data", str(dataset_csv), "--estimator", "full", "--out", str(fit_path)])

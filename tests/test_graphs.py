@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
-from oracles import expected_neg_hessian_loop, leave_one_out_gap_rebuild
+from oracles import edge_sharing_ratio_reference, expected_neg_hessian_loop, leave_one_out_gap_rebuild, shared_edges_reference
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2, ks_2samp
-from strategies import cutoff_datasets, subset_draws
+from strategies import cutoff_datasets, edge_lists, subset_draws
 
 from plrank import (
     BlockModelConfig,
@@ -250,6 +250,33 @@ class TestDegreeDiagnostics:
         deg, _, _ = degree_stats(edges, 3)
         assert deg.tolist() == [3, 4, 1]
         assert shared_edges(edges, 3)[(0, 1)] == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists())
+    def test_pair_counts_match_dict_reference(self, drawn):
+        n, edges = drawn
+        got = shared_edges(edges, n)
+        assert got == shared_edges_reference(edges)
+        assert list(got) == sorted(got)
+        assert edge_sharing_ratio(edges, n) == edge_sharing_ratio_reference(edges)
+
+    @settings(max_examples=200, deadline=None)
+    @given(cutoff_datasets())
+    def test_dataset_pair_counts_match_dict_reference(self, ds):
+        assert shared_edges(ds, ds.n) == shared_edges_reference(ds.edges)
+        assert edge_sharing_ratio(ds, ds.n) == edge_sharing_ratio_reference(ds.edges)
+
+    def test_no_edges(self):
+        for edges in ([], Dataset(3, [])):
+            assert shared_edges(edges, 3) == {}
+            assert edge_sharing_ratio(edges, 3) == 0.0
+        assert graph_diagnostics(Dataset(3, []), spectral=False).r_ratio == 0.0
+
+    def test_items_checked_against_n(self):
+        with pytest.raises(ValueError, match="item >= n=3"):
+            shared_edges([(0, 3)], 3)
+        with pytest.raises(ValueError, match="item >= n=3"):
+            edge_sharing_ratio([(0, 1), (2, 3)], 3)
 
     def test_degree_concentration(self):
         # constant-probability model, target mean degree 120: all realized

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.stats import norm
+from strategies import cutoff_datasets, utilities
 
 from plrank import (
     Dataset,
@@ -147,6 +149,32 @@ class TestInverseVariances:
         got_q, _ = batch_qmle_inverse_variance(u, full)
         want_q = np.array([qmle_inverse_variance(u, full, k) for k in range(ds.n)])
         assert np.max(np.abs(got_q - want_q)) < 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(cutoff_datasets(max_obs=8), utilities(8))
+    def test_batch_matches_per_item_property(self, ds, u):
+        u = u[: ds.n]
+        got, _ = batch_marginal_inverse_variance(u, ds)
+        want = [marginal_inverse_variance(u, ds, k) for k in range(ds.n)]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
+        got_q, cost = batch_qmle_inverse_variance(u, ds)
+        want_q = [qmle_inverse_variance(u, ds, k) for k in range(ds.n)]
+        np.testing.assert_allclose(got_q, want_q, rtol=1e-13, atol=1e-300)
+        assert cost == sum(o.m * (o.m - 1) + o.m * (o.m - 1) * (o.m - 2) // 2 for o in ds.observations)
+
+    def test_edges_far_below_the_largest_utility(self):
+        # item 0 sits 800 above the rest: exp(u - max u) underflows on the
+        # edges without it, and exp(u_0 - u_1) overflows
+        u = np.array([800.0, 0.0, -1.0, 0.5])
+        ds = Dataset(4, [Observation((1, 2)), Observation((2, 3, 1)), Observation((0, 1))])
+        got, _ = batch_marginal_inverse_variance(u, ds)
+        assert got.tolist()[0] == 0.0 and np.all(np.isfinite(got))
+        assert got[1:] == pytest.approx([0.554, 0.461, 0.326], abs=5e-4)
+        np.testing.assert_allclose(got, [marginal_inverse_variance(u, ds, k) for k in range(4)], rtol=1e-13, atol=0)
+        assert pairwise_info_term(u, (0, 1), 0) == 0.0
+        got_q, _ = batch_qmle_inverse_variance(u, ds)
+        assert got_q.tolist()[0] == 0.0 and np.all(got_q[1:] > 0)
+        np.testing.assert_allclose(got_q, [qmle_inverse_variance(u, ds, k) for k in range(4)], rtol=1e-13, atol=0)
 
     def test_monotonicity_in_data(self):
         rng = np.random.default_rng(77)

@@ -23,7 +23,7 @@ from plrank import (
     sample_rankings,
     save_dataset,
 )
-from plrank.model import grouped_rankings
+from plrank.model import _pairs, _triples, grouped_rankings
 
 
 def test_log_probability_symmetric_pair():
@@ -181,19 +181,23 @@ class TestBreaking:
         obs = Observation(tuple(range(5)))
         assert len(full_breaking(obs)) == 10
 
-    def test_broken_pairs_concatenates_full_breaking(self):
+    @settings(max_examples=200, deadline=None)
+    @given(cutoff_datasets(max_items=9, max_obs=8))
+    def test_broken_pairs_concatenates_full_breaking(self, ds):
         # mixed sizes and cutoffs, interleaved so the (size, cutoff) groups
         # must be written back in observation order
-        rng = np.random.default_rng(8)
-        obs = []
-        for _ in range(60):
-            m = int(rng.integers(2, 7))
-            obs.append(Observation(tuple(rng.permutation(9)[:m].tolist()), int(rng.integers(1, m + 1))))
-        ds = Dataset(9, obs)
-        want = [p for o in obs for p in full_breaking(o)]
+        want = [list(p) for o in ds.observations for p in full_breaking(o)]
         got = broken_pairs(ds)
-        assert got.dtype == np.int64 and got.tolist() == [list(p) for p in want]
+        assert got.dtype == np.int64 and got.shape == (len(want), 2) and got.tolist() == want
         assert broken_pairs(Dataset(3, [])).shape == (0, 2)
+
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_position_tables(self, m):
+        assert np.array_equal(_pairs(m), np.column_stack(np.triu_indices(m, 1)))
+        want = [(k, q, r) for k in range(m) for q, r in itertools.combinations([i for i in range(m) if i != k], 2)]
+        assert _triples(m).tolist() == [list(t) for t in want]
+        assert len(_triples(m)) == m * (m - 1) * (m - 2) // 2
+        assert not _pairs(m).flags.writeable and not _triples(m).flags.writeable
 
     def test_with_cutoff_copies_only_on_change(self):
         obs = Observation((2, 0, 1), 2)
