@@ -19,8 +19,8 @@ import numpy as np
 
 from . import harness
 from .estimators import ESTIMATOR_KINDS, FitConfig, FitResult, NonexistenceError, fit
-from .graphs import CapExceededError, IsolatedVertexError, graph_diagnostics
-from .inference import standard_errors
+from .graphs import DEFAULT_CHAIN_CAP, DEFAULT_CHEEGER_CAP, CapExceededError, IsolatedVertexError, graph_diagnostics
+from .inference import DEFAULT_PREFIX_BUDGET, standard_errors
 from .likelihood import EnumerationBudgetError
 from .model import DataFormatError, load_dataset, save_dataset
 
@@ -44,6 +44,13 @@ def _load_dataset(path):
         raise CliError(f"{path}: {exc}", DATA_ERROR)
 
 
+def _load_fit(path) -> FitResult:
+    try:
+        return FitResult.from_dict(json.loads(Path(path).read_text()))
+    except (OSError, ValueError, KeyError) as exc:
+        raise CliError(f"cannot read fit file {path}: {exc}", CONFIG_ERROR)
+
+
 def _cmd_fit(args) -> int:
     dataset = _load_dataset(args.data)
     config = FitConfig(tol_grad_inf=args.tol, max_iter=args.max_iter)
@@ -61,11 +68,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    dataset = _load_dataset(args.data)
-    try:
-        fitted = FitResult.from_dict(json.loads(Path(args.fit).read_text()))
-    except (OSError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot read fit file {args.fit}: {exc}", CONFIG_ERROR)
+    dataset, fitted = _load_dataset(args.data), _load_fit(args.fit)
     try:
         report = standard_errors(fitted, dataset, level=args.level, prefix_budget=args.budget)
     except EnumerationBudgetError as exc:
@@ -94,13 +97,7 @@ def _cmd_graph_diag(args) -> int:
         except (KeyError, ValueError) as exc:
             raise CliError(f"bad design config: {exc}", CONFIG_ERROR)
         source = harness.sample_design_edges(design, n, np.random.default_rng(args.seed))
-    u = None
-    if args.fit:
-        try:
-            fitted = FitResult.from_dict(json.loads(Path(args.fit).read_text()))
-        except (OSError, ValueError, KeyError) as exc:
-            raise CliError(f"cannot read fit file {args.fit}: {exc}", CONFIG_ERROR)
-        u = np.asarray(fitted.estimate, dtype=float)
+    u = _load_fit(args.fit).estimate if args.fit else None
     try:
         diag = graph_diagnostics(
             source,
@@ -154,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit an estimator to a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV (JSON sidecar optional)")
     p.add_argument("--estimator", required=True, choices=ESTIMATOR_KINDS)
-    p.add_argument("--tol", type=float, default=1e-8, help="normalized score sup-norm tolerance")
-    p.add_argument("--max-iter", type=int, default=5000)
+    p.add_argument("--tol", type=float, default=FitConfig.tol_grad_inf, help="normalized score sup-norm tolerance")
+    p.add_argument("--max-iter", type=int, default=FitConfig.max_iter)
     p.add_argument("--out", required=True, help="output fit JSON")
     p.set_defaults(func=_cmd_fit)
 
@@ -163,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", required=True, help="fit JSON from the fit subcommand")
     p.add_argument("--data", required=True)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--budget", type=int, default=10**7, help="largest enumerated-prefix count allowed per edge (the dataset total is not capped)")
+    p.add_argument("--budget", type=int, default=DEFAULT_PREFIX_BUDGET, help="largest enumerated-prefix count allowed per edge (the dataset total is not capped)")
     p.add_argument("--out", required=True, help="output CSV")
     p.set_defaults(func=_cmd_infer)
 
@@ -174,9 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit", help="optional fit JSON; spectral quantities use its utilities (else zeros)")
     p.add_argument("--estimator", default="qmle", choices=ESTIMATOR_KINDS)
     p.add_argument("--exact-cheeger", action="store_true")
-    p.add_argument("--cheeger-cap", type=int, default=20)
+    p.add_argument("--cheeger-cap", type=int, default=DEFAULT_CHEEGER_CAP)
     p.add_argument("--gamma-re", action="store_true", help="exact admissible-chain bound (tiny n)")
-    p.add_argument("--gamma-re-cap", type=int, default=10)
+    p.add_argument("--gamma-re-cap", type=int, default=DEFAULT_CHAIN_CAP)
     p.add_argument("--no-spectral", action="store_true")
     p.add_argument("--out", required=True, help="output JSON")
     p.set_defaults(func=_cmd_graph_diag)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .likelihood import _marginal_loglik_from_groups, _marginal_pass, _pair_block
-from .model import Dataset, _dominance_arcs, _reaches_all, center, check_utilities, full_breaking, grouped_rankings
+from .model import Dataset, _dominance_arcs, _sink_component, center, check_utilities, full_breaking, grouped_rankings
 
 #: Estimator kind -> the cutoff it fits at: "full" (y = m), a top-y cutoff
 #: (y = min(y, m)), or None (each observation's stored cutoff). The QMLE
@@ -115,9 +115,9 @@ def existence_check(dataset: Dataset) -> ExistenceResult:
     :func:`plrank.model._dominance_arcs`, which have the same reachability.
     A finite maximizer exists iff the digraph is strongly connected, i.e.
     every nonempty proper item subset is beaten from outside at least once;
-    numpy sweeps from item 0 along and against the arcs, else scipy, decide.
-    On failure the reported partition is a condensation sink: a set of items
-    never beaten from outside (runaway winners).
+    :func:`plrank.model._sink_component` decides. On failure the reported
+    partition is a condensation sink: a component with no outgoing arc, i.e.
+    a set of items never beaten from outside (runaway winners).
     """
     n = dataset.n
     if n == 1:
@@ -125,21 +125,8 @@ def existence_check(dataset: Dataset) -> ExistenceResult:
     arcs = _dominance_arcs(dataset)
     if arcs.size == 0:
         return ExistenceResult(False, tuple(range(n)))
-    if _reaches_all(arcs, n) and _reaches_all(arcs[:, ::-1], n):
-        return ExistenceResult(True)
-    import scipy.sparse as sp
-    from scipy.sparse.csgraph import connected_components
-
-    adj = sp.coo_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n)).tocsr()
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    if n_comp == 1:
-        return ExistenceResult(True)
-    # a component with no outgoing arc never loses to the outside
-    has_out = np.zeros(n_comp, dtype=bool)
-    li, lj = labels[arcs[:, 0]], labels[arcs[:, 1]]
-    has_out[li[li != lj]] = True
-    sink = int(np.flatnonzero(~has_out)[0])
-    return ExistenceResult(False, tuple(int(v) for v in np.flatnonzero(labels == sink)))
+    sink = _sink_component(arcs, n)
+    return ExistenceResult(True) if sink is None else ExistenceResult(False, tuple(sink.tolist()))
 
 
 def existence_check_bruteforce(dataset: Dataset) -> bool:

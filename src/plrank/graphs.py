@@ -7,9 +7,10 @@ seeded generator and are deterministic given (config, seed).
 
 Diagnostics: degree extremes, shared-edge counts and the edge-sharing ratio,
 the subset-boundary Cheeger constant (exact small-n scan), spectral gaps of
-the normalized expected-Hessian Laplacian, leave-one-out gaps, and the
-admissible-chain expansion bound (exact tiny-n enumeration). Repeated edges
-count with multiplicity throughout.
+the normalized expected-Hessian Laplacian, leave-one-out gaps (that
+Laplacian downdated by each item's edges), and the admissible-chain
+expansion bound (exact tiny-n enumeration). Repeated edges count with
+multiplicity throughout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .estimators import apply_estimator_cutoff
 from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_items, _pair_weights
-from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _reaches_all, check_utilities, grouped_rankings
+from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _sink_component, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
@@ -298,9 +299,9 @@ def degree_stats(edges, n: int):
 
 def _pair_counts(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Co-occurring item pairs j < k with their counts N_jk, in (j, k) order:
-    one ``np.unique`` over the codes j n + k of every edge's pairs."""
+    one ``np.unique`` over the codes min n + max of every ranking's pairs."""
     j, k, _ = _pair_items(grouped_rankings(dataset))
-    codes, counts = np.unique(j * dataset.n + k, return_counts=True)
+    codes, counts = np.unique(np.minimum(j, k) * dataset.n + np.maximum(j, k), return_counts=True)
     return *np.divmod(codes, dataset.n), counts
 
 
@@ -330,16 +331,10 @@ def boundary_edges(edges, subset) -> list[Edge]:
 
 def is_connected(edges, n: int) -> bool:
     """Whether the hypergraph is connected; ``edges`` is an edge list or a
-    Dataset (each observation's dominance arcs span its edge); a numpy sweep
-    over the arcs both ways, else scipy's connected components."""
+    Dataset (each observation's dominance arcs span its edge): whether the
+    arcs taken both ways connect the items strongly."""
     arcs = _dominance_arcs(_as_dataset(edges, n))
-    if _reaches_all(np.concatenate([arcs, arcs[:, ::-1]]), n):
-        return True
-    import scipy.sparse
-    from scipy.sparse.csgraph import connected_components
-
-    adj = scipy.sparse.coo_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n))
-    return connected_components(adj, directed=False)[0] == 1
+    return _sink_component(np.concatenate([arcs, arcs[:, ::-1]]), n) is None
 
 
 def modified_cheeger(edges, n: int, cap: int = DEFAULT_CHEEGER_CAP) -> float:
@@ -415,34 +410,30 @@ def spectral_diagnostics(
     observations; the expectation never depends on outcomes). ``u`` defaults
     to all zeros. Raises :class:`IsolatedVertexError` on zero-degree vertices.
 
-    Every edge's block of the Laplacian is built once per call; the full
-    Laplacian and each leave-one-out Laplacian (item k's edges dropped, row
-    and column k removed) are sums of those blocks over the kept edges.
+    Every edge's pair weights are built once per call, and so is the dense
+    Laplacian L. Item k's leave-one-out Laplacian is L minus the Laplacian
+    of the pairs of the edges that contain k, with row and column k dropped.
     """
     dataset = _as_dataset(dataset_or_edges, n)
     n = dataset.n
     u = np.zeros(n) if u is None else check_utilities(u, n)
     i, j, w, obs = _estimator_pair_weights(dataset, u, estimator)
     lap = _laplacian(n, i, j, w)
-    d = np.diag(lap).copy()
+    d = np.diag(lap)
     if np.any(d <= 0):
         raise IsolatedVertexError(int(np.flatnonzero(d <= 0)[0]))
     inv_sqrt = 1.0 / np.sqrt(d)
-    lsym = lap * inv_sqrt[:, None] * inv_sqrt[None, :]
-    eigs = np.linalg.eigvalsh(lsym)
+    eigs = np.linalg.eigvalsh(lap * inv_sqrt[:, None] * inv_sqrt[None, :])
     s_gap = float(min(eigs[1], 2.0 - eigs[-1]))
     lam_leave = None
     if leave_one_out:
         import scipy.linalg
 
         lam_leave = math.inf
-        dropped = np.zeros(len(dataset), dtype=bool)
         for k in range(n):
-            dropped[:] = False
-            dropped[obs[(i == k) | (j == k)]] = True
-            kept = ~dropped[obs]
-            idx = np.arange(n) != k
-            lap_k = _laplacian(n, i[kept], j[kept], w[kept])[np.ix_(idx, idx)]
+            rows = np.isin(obs, obs[(i == k) | (j == k)])
+            keep = np.arange(n) != k
+            lap_k = (lap - _laplacian(n, i[rows], j[rows], w[rows]))[np.ix_(keep, keep)]
             lam_k = scipy.linalg.eigvalsh(lap_k, subset_by_index=[1, 1])[0] if n > 2 else 0.0
             lam_leave = min(lam_leave, float(lam_k))
     return SpectralDiagnostics(eigenvalues=eigs, s_gap=s_gap, lambda2_leave=lam_leave)

@@ -328,10 +328,9 @@ def _replication(task: dict) -> tuple:
     n = task["n"]
     u_star = draw_utilities(task["utility_law"], n, rng)
     edges = sample_design_edges(task["design"], n, rng)
-    if task.get("extra_c1_edges"):
-        n1 = int(task["design"]["community_sizes"][0])
+    if task.get("extra_c1_edges"):  # inside the tracked community
         edges = edges + sample_uniform_edges(
-            np.arange(n1), int(task["design"]["m"]), int(task["extra_c1_edges"]), rng
+            np.arange(*task["community_slice"]), int(task["design"]["m"]), int(task["extra_c1_edges"]), rng
         )
     dataset = sample_rankings(u_star, edges, rng)
     config = FitConfig(tol_grad_inf=task["fit_tol"], max_iter=task["fit_max_iter"])
@@ -490,7 +489,8 @@ def heterogeneity_experiment(config: ExperimentConfig, out_dir=None, workers: in
     """Coverage of the tracked community under growing within-community load.
 
     The base design is sampled at ``n = n_values[0]``; each schedule entry adds
-    that many extra distinct edges inside the tracked community before fitting.
+    that many extra uniform edges (repeats allowed) inside the tracked
+    community before fitting.
     """
     n = config.n_values[0]
     design = resolve_design(config.design, n)

@@ -6,9 +6,10 @@ log-likelihood sums the observed top-``y`` sequential-choice log-masses of
 every group. The QMLE's quasi log-likelihood is the same objective on one
 (2, 1) group: the Bradley-Terry pairs of :func:`plrank.model.broken_pairs`
 (full rank breaking). Scores sum to zero within each edge, and Hessians are
-negatives of weighted graph Laplacians on co-edge pairs, assembled sparsely
-from per-edge pair weights with the diagonal set to minus the row sums
-(densify only for spectral work).
+negatives of weighted graph Laplacians on co-edge pairs, assembled from
+per-edge weights on one pair table (:func:`_pair_items`, the position pairs
+of each stored ranking): sparsely, with the diagonal set to minus the row
+sums, or densely (:func:`_laplacian`) for spectral work.
 
 Scores and the fit's stage sums exponentiate ``u - max(u)`` with one global
 shift, so an observation whose items all sit more than about 745 below the
@@ -157,7 +158,7 @@ def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> scip
 
 
 def _hessian(u, groups, n: int) -> scipy.sparse.csr_matrix:
-    i, j, w, _ = _pair_weights(u, groups, _observed_hessian_block, sort=False)
+    i, j, w, _ = _pair_weights(u, groups, _observed_hessian_block)
     return _sparse_hessian(n, i, j, w)
 
 
@@ -265,27 +266,28 @@ def _check_prefix_budget(groups, cost, budget: int, what: str) -> None:
         )
 
 
-def _pair_items(groups, sort: bool = True):
-    """Items i, j at the positions of every :func:`_pairs` row of every edge,
-    and its observation index, group by group: ``(i, j, obs)``. Edges are the
-    sorted rankings (so i < j), or the rankings when ``sort`` is False."""
-    empty = np.empty(0, dtype=np.int64)
-    i, j, obs = [empty], [empty], [empty]
+def _joined(parts):
+    """``parts`` (an empty head, then one array per group) as one array; a lone group is not copied."""
+    return parts[-1] if len(parts) <= 2 else np.concatenate(parts)
+
+
+def _pair_items(groups):
+    """Items i, j at the positions of every :func:`_pairs` row of every
+    ranking, and its observation index, group by group: ``(i, j, obs)``.
+    Pairs keep the stored ranking order (i ranked above j), not i < j."""
+    parts = [(np.empty(0, dtype=np.int64),) * 3]
     for (m, _), (idx, rankings) in groups.items():
-        edges = np.sort(rankings, axis=1) if sort else rankings
         p, q = _pairs(m).T
-        i.append(np.take(edges, p, axis=1).ravel())
-        j.append(np.take(edges, q, axis=1).ravel())
-        obs.append(np.repeat(idx, len(p)))
-    return np.concatenate(i), np.concatenate(j), np.concatenate(obs)
+        parts.append((rankings[:, p].ravel(), rankings[:, q].ravel(), np.repeat(idx, len(p))))
+    return tuple(map(_joined, zip(*parts)))
 
 
-def _pair_weights(u, groups, block=_expected_hessian_block, sort: bool = True):
+def _pair_weights(u, groups, block=_expected_hessian_block):
     """Per-edge pair weights ``(i, j, w, obs)``: the :func:`_pair_items`
-    with the weight w of each pair from ``block(u, edges, y)``."""
-    i, j, obs = _pair_items(groups, sort)
-    w = [block(u, np.sort(rankings, axis=1) if sort else rankings, y).ravel() for (_, y), (_, rankings) in groups.items()]
-    return i, j, np.concatenate([np.empty(0), *w]), obs
+    with the weight w of each pair from ``block(u, rankings, y)``."""
+    i, j, obs = _pair_items(groups)
+    w = [np.empty(0)] + [block(u, rankings, y).ravel() for (_, y), (_, rankings) in groups.items()]
+    return i, j, _joined(w), obs
 
 
 def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6):
@@ -297,8 +299,11 @@ def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10*
 
 
 def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Dense weighted graph Laplacian of the pair weights; repeats add."""
-    flat = np.concatenate([i * n + j, j * n + i, i * (n + 1), j * (n + 1)])
+    """Dense weighted graph Laplacian of the pair weights; repeats add. Each
+    off-diagonal weight goes to (min, max) first, so the matrix is exactly
+    symmetric whatever the order of i and j."""
+    lo, hi = np.minimum(i, j), np.maximum(i, j)
+    flat = np.concatenate([lo * n + hi, hi * n + lo, i * (n + 1), j * (n + 1)])
     vals = np.concatenate([-w, -w, w, w])
     return np.bincount(flat, vals, minlength=n * n).reshape(n, n)
 

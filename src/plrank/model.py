@@ -258,6 +258,8 @@ def _edge_dataset(edges, n: int | None = None) -> Dataset:
         idx = np.flatnonzero(sizes == m)
         items = itertools.chain.from_iterable(map(edges.__getitem__, idx.tolist()))
         blocks[m, m] = idx, np.fromiter(items, dtype=np.int64, count=len(idx) * m).reshape(-1, m)
+    if n is None and not blocks:
+        raise ValueError("cannot infer n from an empty edge list; pass n")
     n = 1 + max(int(rankings.max()) for _, rankings in blocks.values()) if n is None else n
     return Dataset.from_blocks(n, blocks)
 
@@ -366,7 +368,7 @@ def _dominance_arcs(dataset: Dataset) -> np.ndarray:
     return np.concatenate(arcs)
 
 
-#: Frontier rounds after which :func:`_reaches_all` gives up (callers then ask csgraph).
+#: Frontier rounds after which :func:`_reaches_all` gives up (:func:`_sink_component` then asks csgraph).
 SWEEP_ROUNDS = 64
 
 
@@ -383,6 +385,23 @@ def _reaches_all(arcs: np.ndarray, n: int) -> bool:
         if np.count_nonzero(seen) in (n, reached):
             break
     return bool(seen.all())
+
+
+def _sink_component(arcs: np.ndarray, n: int) -> np.ndarray | None:
+    """None when the (tail, head) rows of ``arcs`` connect all ``n`` items
+    strongly, else the items of a strong component that no arc leaves (a
+    sink of the condensation). Numpy sweeps from item 0 along and against
+    the arcs decide most inputs; scipy's strong components decide the rest."""
+    if _reaches_all(arcs, n) and _reaches_all(arcs[:, ::-1], n):
+        return None
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
+    adj = sp.coo_matrix((np.ones(len(arcs)), (arcs[:, 0], arcs[:, 1])), shape=(n, n)).tocsr()
+    n_comp, labels = connected_components(adj, directed=True, connection="strong")
+    tail, head = labels[arcs[:, 0]], labels[arcs[:, 1]]
+    sinks = np.setdiff1d(np.arange(n_comp), tail[tail != head])
+    return None if n_comp == 1 else np.flatnonzero(labels == sinks[0])
 
 
 def grouped_rankings(dataset: Dataset) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:

@@ -9,7 +9,10 @@ import pytest
 
 import plrank
 from plrank import Dataset, Observation, center, sample_rankings, save_dataset
-from plrank.cli import main
+from plrank.cli import build_parser, main
+from plrank.estimators import FitConfig
+from plrank.graphs import DEFAULT_CHAIN_CAP, DEFAULT_CHEEGER_CAP
+from plrank.inference import DEFAULT_PREFIX_BUDGET
 
 
 @pytest.fixture
@@ -107,6 +110,23 @@ def test_graph_diag_full_leave_one_out(tmp_path):
     assert diag["lambda2_leave"] is not None and diag["lambda2_leave"] > 0
 
 
+def test_parser_defaults_are_the_library_defaults():
+    parser = build_parser()
+    fit_args = parser.parse_args(["fit", "--data", "d.csv", "--estimator", "qmle", "--out", "f.json"])
+    assert (fit_args.tol, fit_args.max_iter) == (FitConfig().tol_grad_inf, FitConfig().max_iter)
+    assert parser.parse_args(["infer", "--fit", "f.json", "--data", "d.csv", "--out", "s.csv"]).budget == DEFAULT_PREFIX_BUDGET
+    diag_args = parser.parse_args(["graph-diag", "--data", "d.csv", "--out", "g.json"])
+    assert (diag_args.cheeger_cap, diag_args.gamma_re_cap) == (DEFAULT_CHEEGER_CAP, DEFAULT_CHAIN_CAP)
+
+
+def test_unreadable_fit_file_is_config_error(tmp_path, dataset_csv):
+    bad = tmp_path / "fit.json"
+    bad.write_text("{not json")
+    out = str(tmp_path / "out")
+    assert main(["infer", "--fit", str(bad), "--data", str(dataset_csv), "--out", out]) == 2
+    assert main(["graph-diag", "--data", str(dataset_csv), "--fit", str(tmp_path / "missing.json"), "--out", out]) == 2
+
+
 def test_graph_diag_needs_exactly_one_source(tmp_path, dataset_csv):
     assert main(["graph-diag", "--out", str(tmp_path / "x.json")]) == 2
     cfg = tmp_path / "design.json"
@@ -181,7 +201,10 @@ def test_ingest_fixture_outputs_are_golden(tmp_path):
 
 _PIPELINE_SCRIPT = """
 import json, sys
-from plrank.cli import main
+from plrank.cli import build_parser, main
+from plrank.estimators import FitConfig
+from plrank.graphs import DEFAULT_CHAIN_CAP, DEFAULT_CHEEGER_CAP
+from plrank.inference import DEFAULT_PREFIX_BUDGET
 
 races, out = sys.argv[1], sys.argv[2]
 data, fit = f"{out}/dataset.csv", f"{out}/qmle.json"

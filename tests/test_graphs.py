@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import edge_sharing_ratio_reference, expected_neg_hessian_loop, leave_one_out_gap_rebuild, shared_edges_reference
 from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2, ks_2samp
-from strategies import cutoff_datasets, edge_lists, subset_draws
+from strategies import cutoff_datasets, edge_lists, subset_draws, utilities
 
 from plrank import (
     BlockModelConfig,
     CapExceededError,
+    ESTIMATOR_KINDS,
     Dataset,
     EdgeSizeRule,
     IsolatedVertexError,
@@ -272,6 +274,12 @@ class TestDegreeDiagnostics:
             assert edge_sharing_ratio(edges, 3) == 0.0
         assert graph_diagnostics(Dataset(3, []), spectral=False).r_ratio == 0.0
 
+    def test_empty_edge_list_needs_n(self):
+        with pytest.raises(ValueError, match="pass n"):
+            degree_stats([], None)
+        with pytest.raises(ValueError, match="pass n"):
+            spectral_diagnostics([], n=None)
+
     def test_items_checked_against_n(self):
         with pytest.raises(ValueError, match="item >= n=3"):
             shared_edges([(0, 3)], 3)
@@ -404,6 +412,32 @@ class TestSpectral:
         assert np.allclose(spec.eigenvalues, eigs, rtol=0, atol=1e-12)
         assert spec.s_gap == pytest.approx(min(eigs[1], 2 - eigs[-1]), rel=1e-12)
         assert spec.lambda2_leave == pytest.approx(leave_one_out_gap_rebuild(ds, u, estimator), rel=1e-12)
+
+    @pytest.mark.parametrize("estimator", ESTIMATOR_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_downdated_gap_matches_rebuild(self, estimator, data):
+        ds = data.draw(cutoff_datasets(max_items=7, max_m=5))
+        u = data.draw(utilities(ds.n, bound=2.0))
+        if ds.degrees().min() == 0:
+            with pytest.raises(IsolatedVertexError):
+                spectral_diagnostics(ds, u, estimator=estimator)
+            return
+        scale = np.diag(expected_neg_hessian_loop(ds, u, estimator)).max()
+        got = spectral_diagnostics(ds, u, estimator=estimator).lambda2_leave
+        assert got == pytest.approx(leave_one_out_gap_rebuild(ds, u, estimator), rel=1e-12, abs=1e-12 * scale)
+
+    @pytest.mark.parametrize("estimator", ESTIMATOR_KINDS)
+    def test_removing_a_cut_item_leaves_a_zero_gap(self, estimator):
+        # a star's centre and a path's inner items each disconnect the rest
+        rng = np.random.default_rng(16)
+        star = [Observation(rng.permutation([0, k]).tolist()) for k in range(1, 6)]
+        path = [Observation(rng.permutation([k, k + 1, k + 2]).tolist(), 2) for k in range(0, 8, 2)]
+        for n, observations in ((6, star), (9, path)):
+            ds = Dataset(n, observations)
+            u = center(rng.uniform(-1.5, 1.5, n))
+            scale = np.diag(expected_neg_hessian_loop(ds, u, estimator)).max()
+            assert abs(spectral_diagnostics(ds, u, estimator=estimator).lambda2_leave) <= 1e-12 * scale
 
     def test_isolated_vertex_error(self):
         with pytest.raises(IsolatedVertexError) as err:

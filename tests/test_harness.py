@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import ingest_races_reference
 
-from plrank import Dataset, DataFormatError, Observation, fit_qmle, standard_errors
+from plrank import Dataset, DataFormatError, Observation, fit_qmle, harness, standard_errors
+from plrank.graphs import sample_uniform_edges
 from plrank.harness import (
     ExperimentConfig,
     IngestResult,
@@ -221,6 +222,30 @@ class TestRunExperiment:
         rb = b.cell("qmle", added_edges=0)
         assert ra["mean_linf"] == rb["mean_linf"]
         assert ra["coverage"] == rb["coverage"]
+
+    def test_extra_edges_go_to_the_tracked_community(self, monkeypatch):
+        draws = []
+
+        def spy(items, m, count, rng, predicate=None):
+            edges = sample_uniform_edges(items, m, count, rng, predicate)
+            draws.append((np.asarray(items).tolist(), edges))
+            return edges
+
+        monkeypatch.setattr(harness, "sample_uniform_edges", spy)
+        cfg = ExperimentConfig(
+            experiment="heterogeneity",
+            n_values=(60,),
+            replications=1,
+            design={"recipe": "heterogeneity"},
+            estimators=("qmle",),
+            addition_schedule=(40,),
+            track_community=1,
+            master_seed=5,
+        )
+        heterogeneity_experiment(cfg, workers=1)
+        items, edges = draws[-1]  # the extra edges are drawn after the design's
+        assert items == list(range(6, 60))
+        assert len(edges) == 40 and all(6 <= v < 60 for e in edges for v in e)
 
 
 class TestSvg:
