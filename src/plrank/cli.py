@@ -33,9 +33,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _load_dataset(path):
+def _read_data(read, path, **kwargs):
+    """``read(path, **kwargs)``, a missing file or data the reader rejects
+    raised as a data error."""
     try:
-        return load_dataset(path)
+        return read(path, **kwargs)
     except FileNotFoundError as exc:
         raise CliError(f"cannot read {path}: {exc}", DATA_ERROR)
     except DataFormatError as exc:
@@ -52,7 +54,7 @@ def _load_fit(path) -> FitResult:
 
 
 def _cmd_fit(args) -> int:
-    dataset = _load_dataset(args.data)
+    dataset = _read_data(load_dataset, args.data)
     config = FitConfig(tol_grad_inf=args.tol, max_iter=args.max_iter)
     try:
         result = fit(dataset, args.estimator, config)
@@ -68,7 +70,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    dataset, fitted = _load_dataset(args.data), _load_fit(args.fit)
+    dataset, fitted = _read_data(load_dataset, args.data), _load_fit(args.fit)
     try:
         report = standard_errors(fitted, dataset, level=args.level, prefix_budget=args.budget)
     except EnumerationBudgetError as exc:
@@ -85,7 +87,7 @@ def _cmd_graph_diag(args) -> int:
     if bool(args.data) == bool(args.generate):
         raise CliError("need exactly one of --data or --generate", CONFIG_ERROR)
     if args.data:
-        source, n = _load_dataset(args.data), None
+        source, n = _read_data(load_dataset, args.data), None
     else:
         try:
             gen = json.loads(Path(args.generate).read_text())
@@ -129,12 +131,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    try:
-        ingest = harness.ingest_races(args.races, min_races=args.min_races)
-    except FileNotFoundError as exc:
-        raise CliError(f"cannot read {args.races}: {exc}", DATA_ERROR)
-    except DataFormatError as exc:
-        raise CliError(str(exc), DATA_ERROR)
+    ingest = _read_data(harness.ingest_races, args.races, min_races=args.min_races)
     save_dataset(ingest.dataset, args.out)
     ids_path = Path(args.out).with_name(Path(args.out).stem + "_ids.json")
     ids_path.write_text(json.dumps(ingest.horse_ids, indent=0))
@@ -186,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="clean race results into a dataset CSV")
     p.add_argument("--races", required=True, help="CSV with race_id, horse_id, finish_position")
-    p.add_argument("--min-races", type=int, default=10)
+    p.add_argument("--min-races", type=int, default=harness.DEFAULT_MIN_RACES)
     p.add_argument("--out", required=True, help="output dataset CSV")
     p.set_defaults(func=_cmd_ingest)
 

@@ -15,7 +15,7 @@ count drops below the tolerance, certifying the estimating equations.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,15 +73,7 @@ class FitResult:
     y_override: object = None  # cutoff override used (None | int | "full")
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": [float(v) for v in self.estimate],
-            "estimator": self.estimator,
-            "final_log_lik": self.final_log_lik,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "final_grad_inf": self.final_grad_inf,
-            "y_override": self.y_override,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)} | {"estimate": [float(v) for v in self.estimate]}
 
     @classmethod
     def from_dict(cls, d) -> "FitResult":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -571,10 +571,7 @@ class GraphDiagnostics:
     gamma_re: float | None = None
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "n", "n_edges", "degree_min", "degree_max", "r_ratio", "connected",
-            "s_gap", "lambda2_leave", "cheeger", "gamma_re",
-        )}
+        return asdict(self)
 
 
 def graph_diagnostics(

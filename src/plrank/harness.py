@@ -10,6 +10,7 @@ results are byte-identical regardless of worker count. Set ``PLRANK_THREADS``
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .graphs import (
     sample_uniform_edges,
 )
 from .inference import standard_errors
-from .model import DataFormatError, Dataset, _codes, _edge_dataset, center, grouped_rankings, sample_rankings
+from .model import DataFormatError, Dataset, _codes, _column_blocks, center, grouped_rankings, sample_rankings
 
 EXPERIMENT_KINDS = ("consistency", "coverage", "heterogeneity")
 
@@ -185,6 +186,21 @@ class ExperimentConfig:
             if est not in ESTIMATOR_KINDS:
                 raise ValueError(f"unknown estimator {est!r}")
         self.addition_schedule = tuple(int(v) for v in self.addition_schedule)
+        if any(v < 0 for v in self.addition_schedule):
+            raise ValueError(f"addition_schedule entries must be >= 0, got {list(self.addition_schedule)}")
+        if not 0 < self.ci_level < 1:
+            raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
+        if not self.fit_tol > 0:
+            raise ValueError(f"fit_tol must be positive, got {self.fit_tol}")
+        if self.fit_max_iter < 1:
+            raise ValueError(f"fit_max_iter must be >= 1, got {self.fit_max_iter}")
+        designs = [resolve_design(self.design, n) for n in self.n_values]  # an unknown recipe raises here
+        if self.experiment == "heterogeneity":
+            sizes = designs[0].get("community_sizes")
+            if sizes is None:
+                raise ValueError("heterogeneity experiments need a design with community_sizes")
+            if not 0 <= self.track_community < len(sizes):
+                raise ValueError(f"track_community must be in [0, {len(sizes)}), got {self.track_community}")
 
     @property
     def wants_se(self) -> bool:
@@ -245,25 +261,11 @@ class ExperimentResult:
             return row
         raise KeyError((estimator, n, added_edges))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(RESULT_COLUMNS)
-            for row in self.rows:
-                writer.writerow([_fmt(row.get(c)) for c in RESULT_COLUMNS])
-
-    def write_timings_csv(self, path) -> None:
-        with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(TIMING_COLUMNS)
-            for row in self.rows:
-                writer.writerow([_fmt(row.get(c)) for c in TIMING_COLUMNS])
-
     def write_artifacts(self, out_dir) -> None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        self.write_csv(out_dir / "results.csv")
-        self.write_timings_csv(out_dir / "timings.csv")
+        _write_table(out_dir / "results.csv", RESULT_COLUMNS, self.rows)
+        _write_table(out_dir / "timings.csv", TIMING_COLUMNS, self.rows)
         echo = {"config": self.config.to_dict(), "resolved_designs": _stringify_keys(self.resolved_designs)}
         with open(out_dir / "config.echo.json", "w") as f:
             json.dump(echo, f, indent=2, sort_keys=True)
@@ -302,6 +304,16 @@ class ExperimentResult:
                 )
 
 
+def _write_table(path, columns, rows) -> None:
+    """CSV of ``columns`` with one line per row dict; floats as ``repr``, a
+    missing or None value as an empty cell."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_fmt(row.get(c)) for c in columns])
+
+
 def _fmt(value):
     if value is None:
         return ""
@@ -319,28 +331,27 @@ def _stringify_keys(d):
 # ---------------------------------------------------------------------------
 
 
-def _replication(task: dict) -> tuple:
-    """Run one replication; pure function of the task dict (picklable)."""
-    key = task["key"]  # (axis_value, level_index)
-    rep = task["rep"]
-    ss = np.random.SeedSequence(task["master_seed"], spawn_key=(key[0], key[1], rep))
+def _replication(config: ExperimentConfig, key: tuple, rep: int, level: dict) -> tuple:
+    """Run replication ``rep`` of the level keyed (axis_value, level_index);
+    a pure function of its (picklable) arguments. ``level`` holds what
+    differs between levels: ``n``, ``design``, ``compute_se`` and, for
+    heterogeneity, ``extra_edges`` drawn inside the tracked ``community``
+    (start, stop)."""
+    ss = np.random.SeedSequence(config.master_seed, spawn_key=(key[0], key[1], rep))
     rng = np.random.default_rng(ss)
-    n = task["n"]
-    u_star = draw_utilities(task["utility_law"], n, rng)
-    edges = sample_design_edges(task["design"], n, rng)
-    if task.get("extra_c1_edges"):  # inside the tracked community
-        edges = edges + sample_uniform_edges(
-            np.arange(*task["community_slice"]), int(task["design"]["m"]), int(task["extra_c1_edges"]), rng
-        )
+    n, design, community = level["n"], level["design"], level.get("community")
+    u_star = draw_utilities(config.utility_law, n, rng)
+    edges = sample_design_edges(design, n, rng)
+    if level.get("extra_edges"):
+        edges = edges + sample_uniform_edges(np.arange(*community), int(design["m"]), level["extra_edges"], rng)
     dataset = sample_rankings(u_star, edges, rng)
-    config = FitConfig(tol_grad_inf=task["fit_tol"], max_iter=task["fit_max_iter"])
-    community = task.get("community_slice")  # (start, stop) or None
+    fit_config = FitConfig(tol_grad_inf=config.fit_tol, max_iter=config.fit_max_iter)
 
     out = {}
-    for est in task["estimators"]:
+    for est in config.estimators:
         t0 = time.perf_counter()
         try:
-            fitted = fit(dataset, est, config)
+            fitted = fit(dataset, est, fit_config)
         except NonexistenceError:
             out[est] = {"exists": False}
             continue
@@ -352,9 +363,9 @@ def _replication(task: dict) -> tuple:
             "iterations": fitted.iterations,
             "converged": fitted.converged,
         }
-        if task["compute_se"] and fitted.converged:
+        if level["compute_se"] and fitted.converged:
             t1 = time.perf_counter()
-            report = standard_errors(fitted, dataset, level=task["ci_level"])
+            report = standard_errors(fitted, dataset, level=config.ci_level)
             rec["se_time"] = time.perf_counter() - t1
             hits = report.covers(u_star)
             rec["sigma_mean"] = float(report.sigma.mean())
@@ -362,7 +373,6 @@ def _replication(task: dict) -> tuple:
             if community is not None:
                 lo, hi = community
                 rec["community_cover_frac"] = float(hits[lo:hi].mean())
-                rec["community_sigma_mean"] = float(report.sigma[lo:hi].mean())
         out[est] = rec
     return key, rep, out
 
@@ -422,41 +432,28 @@ def _sum_of(records, field_name):
     return float(np.sum(vals)) if vals else None
 
 
-def _run_tasks(tasks, workers: int | None):
+def _run_tasks(config: ExperimentConfig, tasks, workers: int | None):
+    """``_replication(config, *task)`` for each (key, rep, level) task."""
     if workers is None:
         workers = int(os.environ.get("PLRANK_THREADS", "1"))
+    run = functools.partial(_replication, config)
     if workers <= 1 or len(tasks) <= 1:
-        return [_replication(t) for t in tasks]
+        return [run(*task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_replication, tasks, chunksize=4))
+        return list(pool.map(run, *zip(*tasks), chunksize=4))
 
 
 def _execute(config: ExperimentConfig, levels, resolved, out_dir, workers) -> ExperimentResult:
-    """Run ``config.replications`` tasks per level and aggregate them.
+    """Run ``config.replications`` replications per level and aggregate them.
 
-    ``levels`` lists (key, axis_meta, task fields) with key =
-    (axis_value, level_index); the fields extend the config's shared task
-    fields (the level's n, design, SE switch, extra edges).
+    ``levels`` lists (key, axis_meta, level) with key = (axis_value,
+    level_index) and ``level`` as :func:`_replication` reads it.
     """
-    tasks = [
-        {
-            "key": key,
-            "rep": rep,
-            "master_seed": config.master_seed,
-            "utility_law": config.utility_law,
-            "estimators": config.estimators,
-            "ci_level": config.ci_level,
-            "fit_tol": config.fit_tol,
-            "fit_max_iter": config.fit_max_iter,
-            **fields,
-        }
-        for key, _, fields in levels
-        for rep in range(config.replications)
-    ]
+    tasks = [(key, rep, level) for key, _, level in levels for rep in range(config.replications)]
     cells: dict = {}
-    for key, rep, rec in _run_tasks(tasks, workers):
+    for key, rep, rec in _run_tasks(config, tasks, workers):
         cells.setdefault(key, {})[rep] = rec
     rows = _aggregate(config, cells, {key: meta for key, meta, _ in levels})
     result = ExperimentResult(config=config, rows=rows, resolved_designs=resolved)
@@ -494,15 +491,13 @@ def heterogeneity_experiment(config: ExperimentConfig, out_dir=None, workers: in
     """
     n = config.n_values[0]
     design = resolve_design(config.design, n)
-    if design["kind"] != "block-typed" and "community_sizes" not in design:
-        raise ValueError("heterogeneity experiments need a community design")
     schedule = config.addition_schedule or (0,)
     sizes = [int(s) for s in design["community_sizes"]]
     lo = sum(sizes[: config.track_community])
     hi = lo + sizes[config.track_community]
     levels = [
-        ((n, level_index), {"n": n, "added_edges": int(extra)},
-         {"n": n, "design": design, "extra_c1_edges": int(extra), "community_slice": (lo, hi), "compute_se": True})
+        ((n, level_index), {"n": n, "added_edges": extra},
+         {"n": n, "design": design, "extra_edges": extra, "community": (lo, hi), "compute_se": True})
         for level_index, extra in enumerate(schedule)
     ]
     return _execute(config, levels, {n: design, "schedule": list(schedule)}, out_dir, workers)
@@ -542,7 +537,11 @@ def _id_sort_key(value: str):
     return (0, int(value), "") if value.isdecimal() else (1, 0, value)
 
 
-def ingest_races(path, min_races: int = 10) -> IngestResult:
+#: Fewest races a horse must run to be kept by :func:`ingest_races`.
+DEFAULT_MIN_RACES = 10
+
+
+def ingest_races(path, min_races: int = DEFAULT_MIN_RACES) -> IngestResult:
     """Read race results (CSV with race_id, horse_id, finish_position; extra
     columns ignored) into a Dataset of full rankings.
 
@@ -614,10 +613,9 @@ def ingest_races(path, min_races: int = 10) -> IngestResult:
         live &= ~gone[horse]
 
     kept = count > 0
-    items, r = (np.cumsum(kept) - 1)[horse[live]], race[live]
-    rankings = np.split(items, np.flatnonzero(np.diff(r)) + 1) if items.size else []
+    items, lengths = (np.cumsum(kept) - 1)[horse[live]], np.unique(race[live], return_counts=True)[1]
     return IngestResult(
-        dataset=_edge_dataset(rankings, max(int(kept.sum()), 1)),
+        dataset=Dataset.from_blocks(max(int(kept.sum()), 1), _column_blocks(items, lengths, lengths)),
         horse_ids=[horses[k] for k in np.flatnonzero(kept)],
         n_races_in=len(races),
         n_horses_in=len(horses),
@@ -657,11 +655,7 @@ def rank_report(fitted, inference_report, dataset: Dataset, top_k: int = 10, lab
 
 
 def write_rank_report(rows, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(RANK_REPORT_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row[c]) for c in RANK_REPORT_COLUMNS])
+    _write_table(path, RANK_REPORT_COLUMNS, rows)
 
 
 def format_rank_table(rows) -> str:

@@ -10,7 +10,10 @@ identified by the sum-to-zero convention (see :func:`center`).
 
 A :class:`Dataset` stores only its (edge size, cutoff) blocks of rankings
 (:func:`grouped_rankings`); its ``observations`` are a list built on each
-access, so mutating that list does not change the dataset.
+access, so mutating that list does not change the dataset. Producers that
+hold observations laid end to end (observation lists, edge lists, dataset
+CSVs, race results) turn them into blocks with one function,
+:func:`_column_blocks`.
 """
 
 from __future__ import annotations
@@ -120,12 +123,10 @@ class Dataset:
     """
 
     def __init__(self, n: int, observations=()):
-        buckets: dict[tuple[int, int], tuple[list, list]] = {}
-        for i, obs in enumerate(observations):
-            idx, rankings = buckets.setdefault((obs.m, obs.cutoff), ([], []))
-            idx.append(i)
-            rankings.append(obs.ranking)
-        self.n, self._blocks = int(n), _checked_blocks(n, buckets)
+        observations = list(observations)
+        items = np.fromiter(itertools.chain.from_iterable(obs.ranking for obs in observations), dtype=np.int64)
+        blocks = _column_blocks(items, [obs.m for obs in observations], [obs.cutoff for obs in observations])
+        self.n, self._blocks = int(n), _checked_blocks(n, blocks)
 
     @classmethod
     def from_blocks(cls, n: int, blocks) -> "Dataset":
@@ -253,15 +254,27 @@ def _edge_dataset(edges, n: int | None = None) -> Dataset:
     ``n`` defaults to one more than the largest item."""
     edges = list(edges)
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
-    blocks = {}
-    for m in dict.fromkeys(sizes.tolist()):
-        idx = np.flatnonzero(sizes == m)
-        items = itertools.chain.from_iterable(map(edges.__getitem__, idx.tolist()))
-        blocks[m, m] = idx, np.fromiter(items, dtype=np.int64, count=len(idx) * m).reshape(-1, m)
-    if n is None and not blocks:
+    items = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))
+    if n is None and not items.size:
         raise ValueError("cannot infer n from an empty edge list; pass n")
-    n = 1 + max(int(rankings.max()) for _, rankings in blocks.values()) if n is None else n
-    return Dataset.from_blocks(n, blocks)
+    return Dataset.from_blocks(1 + int(items.max()) if n is None else n, _column_blocks(items, sizes, sizes))
+
+
+def _column_blocks(items: np.ndarray, sizes, cutoffs) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """(m, y) -> (observation indices, rankings) blocks, unchecked, of
+    observations laid end to end: observation i holds the next ``sizes[i]``
+    entries of ``items``, best first, at cutoff ``cutoffs[i]``. The only
+    code that makes blocks from flat columns (observations, edge lists,
+    dataset CSVs and race results)."""
+    sizes, cutoffs = np.asarray(sizes, dtype=np.int64), np.asarray(cutoffs, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    blocks = {}
+    for m in np.unique(sizes).tolist():
+        of_m = sizes == m
+        for y in np.unique(cutoffs[of_m]).tolist():
+            idx = np.flatnonzero(of_m & (cutoffs == y))
+            blocks[m, y] = idx, items[starts[idx][:, None] + np.arange(m)]
+    return blocks
 
 
 def _row_starts(blocks, width) -> tuple[np.ndarray, int]:
@@ -483,11 +496,7 @@ def load_dataset(path) -> Dataset:
         y = np.array([int(cutoffs.get(oid, m)) for oid, m in zip(ids, sizes.tolist())], dtype=np.int64)
         y = np.where(y == -1, sizes, y)  # Observation's sentinel for a full ranking
         n = int(meta.get("n", 1 + int(items.max()))) if len(ids) else int(meta.get("n", 1))
-        blocks = {}
-        for m, cutoff in dict.fromkeys(zip(sizes.tolist(), y.tolist())):
-            idx = np.flatnonzero((sizes == m) & (y == cutoff))
-            blocks[m, cutoff] = idx, items[starts[idx][:, None] + np.arange(m)]
-        return Dataset.from_blocks(n, blocks)
+        return Dataset.from_blocks(n, _column_blocks(items, sizes, y))
     except (TypeError, ValueError, OverflowError):
         # raise the error that checking observation by observation meets first
         for oid, ranks_k, items_k in zip(ids, np.split(ranks, starts[1:]), np.split(items, starts[1:])):

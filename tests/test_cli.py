@@ -12,6 +12,7 @@ from plrank import Dataset, Observation, center, sample_rankings, save_dataset
 from plrank.cli import build_parser, main
 from plrank.estimators import FitConfig
 from plrank.graphs import DEFAULT_CHAIN_CAP, DEFAULT_CHEEGER_CAP
+from plrank.harness import DEFAULT_MIN_RACES
 from plrank.inference import DEFAULT_PREFIX_BUDGET
 
 
@@ -117,6 +118,7 @@ def test_parser_defaults_are_the_library_defaults():
     assert parser.parse_args(["infer", "--fit", "f.json", "--data", "d.csv", "--out", "s.csv"]).budget == DEFAULT_PREFIX_BUDGET
     diag_args = parser.parse_args(["graph-diag", "--data", "d.csv", "--out", "g.json"])
     assert (diag_args.cheeger_cap, diag_args.gamma_re_cap) == (DEFAULT_CHEEGER_CAP, DEFAULT_CHAIN_CAP)
+    assert parser.parse_args(["ingest", "--races", "r.csv", "--out", "d.csv"]).min_races == DEFAULT_MIN_RACES
 
 
 def test_unreadable_fit_file_is_config_error(tmp_path, dataset_csv):
@@ -155,6 +157,33 @@ def test_experiment_bad_config_is_config_error(tmp_path):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({"experiment": "coverage"}))
     assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+
+
+_SMALL_COVERAGE = {"experiment": "coverage", "n_values": [12], "replications": 1,
+                   "design": {"kind": "fixed-sizes", "sizes": [3], "counts": [40]}, "estimators": ["qmle"]}
+_SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replications": 1,
+                        "design": {"recipe": "heterogeneity"}, "estimators": ["qmle"]}
+
+
+@pytest.mark.parametrize("config, field", [
+    ({**_SMALL_COVERAGE, "design": {"recipe": "nope"}}, "design"),
+    ({**_SMALL_HETEROGENEITY, "design": {"recipe": "nurhm-coverage"}}, "design"),
+    ({**_SMALL_HETEROGENEITY, "track_community": 2}, "track_community"),
+    ({**_SMALL_HETEROGENEITY, "track_community": -1}, "track_community"),
+    ({**_SMALL_HETEROGENEITY, "addition_schedule": [-5]}, "addition_schedule"),
+    ({**_SMALL_COVERAGE, "ci_level": 1.5}, "ci_level"),
+    ({**_SMALL_COVERAGE, "fit_tol": 0}, "fit_tol"),
+    ({**_SMALL_COVERAGE, "fit_max_iter": 0}, "fit_max_iter"),
+], ids=["unknown-recipe", "no-communities", "community-past-end", "community-negative",
+        "negative-addition", "ci-level", "fit-tol", "fit-max-iter"])
+def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field):
+    """Each bad value exits with the configuration-error status before any
+    replication runs, and the message names the field."""
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_ingest_command(tmp_path, capsys):

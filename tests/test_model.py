@@ -23,7 +23,7 @@ from plrank import (
     sample_rankings,
     save_dataset,
 )
-from plrank.model import _pairs, _triples, grouped_rankings
+from plrank.model import _edge_dataset, _pairs, _triples, grouped_rankings
 
 
 def test_log_probability_symmetric_pair():
@@ -289,9 +289,26 @@ class TestStoredBlocks:
     def test_constructor_reproduces_blocks(self, ds):
         again = Dataset(ds.n, ds.observations)
         assert _blocks_equal(grouped_rankings(again), grouped_rankings(ds))
+        # the same blocks as bucketing the observations one by one
+        buckets = {}
+        for i, obs in enumerate(ds.observations):
+            idx, rankings = buckets.setdefault((obs.m, obs.cutoff), ([], []))
+            idx.append(i)
+            rankings.append(obs.ranking)
+        assert _blocks_equal(grouped_rankings(Dataset.from_blocks(ds.n, buckets)), grouped_rankings(ds))
         for idx, rankings in grouped_rankings(ds).values():
             assert np.all(np.diff(idx) > 0)
             assert not idx.flags.writeable and not rankings.flags.writeable
+
+    @settings(max_examples=80, deadline=None)
+    @given(ds=cutoff_datasets(max_obs=12))
+    def test_edge_list_dataset_is_the_full_observations(self, ds):
+        rankings = [obs.ranking for obs in ds.observations]
+        want = Dataset(ds.n, [Observation(r) for r in rankings])
+        assert _blocks_equal(grouped_rankings(_edge_dataset(rankings, ds.n)), grouped_rankings(want))
+        inferred = _edge_dataset(map(np.array, rankings))  # n from the largest item, edges as arrays
+        assert inferred.n == 1 + max(map(max, rankings))
+        assert _blocks_equal(grouped_rankings(inferred), grouped_rankings(want))
 
     @settings(max_examples=80, deadline=None)
     @given(ds=cutoff_datasets(max_obs=12))
