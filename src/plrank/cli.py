@@ -96,9 +96,9 @@ def _cmd_graph_diag(args) -> int:
         try:
             n = int(gen["n"])
             design = harness.resolve_design(gen["design"], n)
+            source = harness.sample_design_edges(design, n, np.random.default_rng(args.seed))
         except (KeyError, ValueError) as exc:
             raise CliError(f"bad design config: {exc}", CONFIG_ERROR)
-        source = harness.sample_design_edges(design, n, np.random.default_rng(args.seed))
     u = _load_fit(args.fit).estimate if args.fit else None
     try:
         diag = graph_diagnostics(

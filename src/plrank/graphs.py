@@ -3,7 +3,10 @@
 Generators: per-size Bernoulli / fixed-count hypergraphs with optionally
 nonuniform edge probabilities, and a block model where within-community and
 cross-community edges have different probabilities. Both take an explicit
-seeded generator and are deterministic given (config, seed).
+seeded generator and are deterministic given (config, seed). The two edge
+samplers draw uniform m-subsets, optionally only community-crossing ones;
+they count the eligible subsets by arithmetic and raise before drawing when
+too few exist.
 
 Diagnostics: degree extremes, shared-edge counts and the edge-sharing ratio,
 the subset-boundary Cheeger constant (exact small-n scan), spectral gaps of
@@ -28,6 +31,7 @@ from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _sink_componen
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
 _CHEEGER_CHUNK = 1 << 12  # subsets scanned per batch by modified_cheeger
+ENUMERATION_CAP = 10**7  # candidates the nonuniform-probability mode may enumerate
 
 
 class CapExceededError(RuntimeError):
@@ -82,40 +86,32 @@ class RandomHypergraphConfig:
         for rule in self.rules:
             if rule.m > self.n:
                 raise ValueError(f"edge size {rule.m} exceeds n={self.n}")
+            if rule.mode == "fixed" and rule.count > math.comb(self.n, rule.m):
+                raise ValueError(f"cannot draw {rule.count} distinct size-{rule.m} edges from {math.comb(self.n, rule.m)} candidates")
 
 
 @dataclass(frozen=True)
 class BlockModelConfig:
     """m-uniform block model: ``community_sizes`` partition [0, n) into
     contiguous blocks; an edge inside block i appears with probability
-    ``omega_within[i]``, any community-straddling edge with ``omega_cross``.
-    ``fixed_counts``, when given as (per-community..., cross), replaces the
-    Bernoulli draw with exact distinct-edge counts per type."""
+    ``omega_within[i]``, any community-straddling edge with ``omega_cross``."""
 
     m: int
     community_sizes: tuple[int, ...]
     omega_within: tuple[float, ...] = ()
     omega_cross: float = 0.0
-    fixed_counts: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if any(s <= 0 for s in self.community_sizes):
             raise ValueError("community sizes must be positive")
-        if self.fixed_counts is None:
-            if len(self.omega_within) != len(self.community_sizes):
-                raise ValueError("need one within-probability per community")
-            if any(not 0.0 <= w <= 1.0 for w in (*self.omega_within, self.omega_cross)):
-                raise ValueError("probabilities must be in [0, 1]")
-        elif len(self.fixed_counts) != len(self.community_sizes) + 1:
-            raise ValueError("fixed_counts needs one entry per community plus cross")
+        if len(self.omega_within) != len(self.community_sizes):
+            raise ValueError("omega_within needs one probability per community")
+        if any(not 0.0 <= w <= 1.0 for w in (*self.omega_within, self.omega_cross)):
+            raise ValueError("probabilities must be in [0, 1]")
 
     @property
     def n(self) -> int:
         return int(sum(self.community_sizes))
-
-    def communities(self) -> list[np.ndarray]:
-        bounds = np.cumsum((0,) + tuple(self.community_sizes))
-        return [np.arange(bounds[i], bounds[i + 1]) for i in range(len(self.community_sizes))]
 
 
 def _random_subsets(items: np.ndarray, m: int, batch: int, rng: np.random.Generator) -> np.ndarray:
@@ -131,99 +127,74 @@ def _random_subsets(items: np.ndarray, m: int, batch: int, rng: np.random.Genera
     return np.sort(items[picks], axis=1)
 
 
-_EXACT_COUNT_CAP = 10**4  # filtered candidate sets up to this size are counted exactly
-_MAX_EMPTY_ROUNDS = 1000  # larger ones give up after this many rounds accepting nothing
-
-
-def _eligible_left(items: np.ndarray, m: int, predicate, seen) -> int | None:
-    """How many m-subsets of ``items`` pass ``predicate`` and are not in
-    ``seen``; None when a predicate leaves too many candidates to count."""
+def _eligible_count(items: np.ndarray, m: int, crossing) -> int:
+    """How many m-subsets of ``items`` a draw accepts: all C(|items|, m), or
+    with ``crossing`` bounds, C(|items|, m) minus sum over communities c of
+    C(|items in c|, m)."""
     total = math.comb(len(items), m)
-    if predicate is None:
-        itemset = set(items.tolist())
-        return total - sum(1 for e in seen if len(e) == m and list(e) == sorted(itemset.intersection(e)))
-    if total > _EXACT_COUNT_CAP:
-        return None
-    return sum(
-        1 for c in itertools.combinations(np.sort(items).tolist(), m)
-        if (seen is None or c not in seen) and predicate(c)
-    )
+    if crossing is None:
+        return total
+    return total - sum(math.comb(int(k), m) for k in np.bincount(np.searchsorted(crossing, items, side="right")))
 
 
 def _draw_edges(items: np.ndarray, m: int, count: int, rng: np.random.Generator,
-                predicate=None, seen=None) -> list[Edge]:
-    """``count`` uniform m-subsets of ``items`` passing ``predicate`` (and, when
-    ``seen`` is a set, distinct and not in it), via batched rejection.
-
-    The first round that accepts nothing counts the eligible subsets left
-    (:func:`_eligible_left`) and raises ValueError when too few remain; when
-    they cannot be counted, ``_MAX_EMPTY_ROUNDS`` such rounds in a row raise."""
+                crossing, distinct: bool) -> list[Edge]:
+    """``count`` uniform m-subsets of ``items`` (distinct ones, or repeats
+    allowed), keeping with ``crossing`` bounds only those whose first and last
+    items fall in different communities [b_i, b_i+1), by batched rejection.
+    Raises ValueError before any draw when too few subsets are eligible."""
+    eligible = _eligible_count(items, m, crossing)
+    if (count > eligible) if distinct else (count > 0 and eligible == 0):
+        raise ValueError(f"only {eligible} eligible size-{m} edges, {count} requested")
     out: list[Edge] = []
-    empty_rounds, feasible = 0, False
+    seen: set[Edge] = set()
     while len(out) < count:
         need = count - len(out)
-        accepted = len(out)
-        for pick in map(tuple, _random_subsets(items, m, max(32, need + need // 4), rng).tolist()):
-            if (seen is not None and pick in seen) or (predicate is not None and not predicate(pick)):
+        picks = _random_subsets(items, m, max(32, need + need // 4), rng)
+        if crossing is not None:
+            picks = picks[np.searchsorted(crossing, picks[:, 0], side="right")
+                          != np.searchsorted(crossing, picks[:, -1], side="right")]
+        for pick in map(tuple, picks.tolist()):
+            if distinct and pick in seen:
                 continue
-            if seen is not None:
-                seen.add(pick)
+            seen.add(pick)
             out.append(pick)
             if len(out) == count:
                 break
-        if len(out) > accepted or feasible:
-            empty_rounds = 0
-            continue
-        empty_rounds += 1
-        left = _eligible_left(items, m, predicate, seen)
-        if left is not None:
-            if left < (need if seen is not None else 1):
-                eligible = left + len(out) if seen is not None else left
-                raise ValueError(f"only {eligible} eligible size-{m} edges, {count} requested")
-            feasible = True
-        elif empty_rounds >= _MAX_EMPTY_ROUNDS:
-            raise ValueError(
-                f"found {len(out)} eligible size-{m} edges of {count} requested; "
-                f"{empty_rounds} draw rounds in a row accepted none"
-            )
     return out
 
 
-def sample_distinct_edges(items, m: int, count: int, rng: np.random.Generator,
-                          exclude=None, predicate=None) -> list[Edge]:
-    """``count`` distinct uniform m-subsets of ``items`` (optionally filtered by
-    ``predicate`` and disjoint from ``exclude``), via batched rejection; raises
+def sample_distinct_edges(items, m: int, count: int, rng: np.random.Generator, crossing=None) -> list[Edge]:
+    """``count`` distinct uniform m-subsets of ``items``, only community-crossing
+    ones when ``crossing`` gives the community bounds b_0 < b_1 < ...; raises
     ValueError when fewer eligible subsets exist."""
     items = np.asarray(items, dtype=np.int64)
     total = math.comb(len(items), m)
     if count > total:
         raise ValueError(f"cannot draw {count} distinct edges from {total} candidates")
-    if count == 0:
-        return []
-    return _draw_edges(items, m, count, rng, predicate, set(exclude) if exclude else set())
+    return _draw_edges(items, m, count, rng, crossing, distinct=True)
 
 
-def sample_uniform_edges(items, m: int, count: int, rng: np.random.Generator,
-                         predicate=None) -> list[Edge]:
+def sample_uniform_edges(items, m: int, count: int, rng: np.random.Generator, crossing=None) -> list[Edge]:
     """``count`` i.i.d. uniform m-subsets of ``items`` (repeats allowed), as for
-    independently assembled comparisons; raises ValueError when no subset
-    passes ``predicate``."""
+    independently assembled comparisons, only community-crossing ones when
+    ``crossing`` gives the community bounds; raises ValueError when no subset
+    is eligible."""
     items = np.asarray(items, dtype=np.int64)
     if m > len(items):
         raise ValueError(f"cannot form size-{m} edges from {len(items)} items")
-    if predicate is None:
+    if crossing is None:
         return list(map(tuple, _random_subsets(items, m, count, rng).tolist()))
-    return _draw_edges(items, m, count, rng, predicate)
+    return _draw_edges(items, m, count, rng, crossing, distinct=False)
 
 
-def sample_random_hypergraph(config: RandomHypergraphConfig, rng: np.random.Generator,
-                             enumeration_cap: int = 10**7) -> list[Edge]:
+def sample_random_hypergraph(config: RandomHypergraphConfig, rng: np.random.Generator) -> list[Edge]:
     """Draw the per-size random hypergraph.
 
     ``constant`` mode avoids enumerating the candidate set: the edge count is
     Binomial(C(n, m), p) and then that many distinct edges are uniform (the
     same law as per-candidate coin flips). ``uniform`` mode needs per-candidate
-    probabilities, so C(n, m) must stay within ``enumeration_cap``.
+    probabilities, so C(n, m) must stay within ``ENUMERATION_CAP``.
     """
     edges: list[Edge] = []
     n = config.n
@@ -235,7 +206,7 @@ def sample_random_hypergraph(config: RandomHypergraphConfig, rng: np.random.Gene
             count = int(rng.binomial(total, rule.p)) if rule.p > 0 else 0
             edges.extend(sample_distinct_edges(range(n), rule.m, count, rng))
         else:  # uniform(p, q): genuinely nonuniform probabilities
-            if total > enumeration_cap:
+            if total > ENUMERATION_CAP:
                 raise CapExceededError(
                     f"uniform-probability mode needs C({n},{rule.m})={total} candidates enumerated"
                 )
@@ -248,24 +219,15 @@ def sample_random_hypergraph(config: RandomHypergraphConfig, rng: np.random.Gene
 
 
 def sample_block_model(config: BlockModelConfig, rng: np.random.Generator) -> list[Edge]:
-    """Draw the block-model hypergraph (Bernoulli or fixed-count per type)."""
-    n, m = config.n, config.m
-    communities = config.communities()
-    within_candidates = [math.comb(len(c), m) if len(c) >= m else 0 for c in communities]
-    cross_candidates = math.comb(n, m) - sum(within_candidates)
-    if config.fixed_counts is not None:
-        counts = list(config.fixed_counts)
-    else:
-        counts = [
-            int(rng.binomial(c, w)) if c and w > 0 else 0
-            for c, w in zip(within_candidates, config.omega_within)
-        ]
-        counts.append(
-            int(rng.binomial(cross_candidates, config.omega_cross))
-            if cross_candidates and config.omega_cross > 0
-            else 0
-        )
-    return _block_edges(config.community_sizes, m, counts, rng, sample_distinct_edges)
+    """Draw the block-model hypergraph: a Binomial count per edge type, then
+    that many distinct uniform edges of the type."""
+    candidates = [math.comb(s, config.m) for s in config.community_sizes]
+    candidates.append(math.comb(config.n, config.m) - sum(candidates))
+    counts = [
+        int(rng.binomial(c, w)) if c and w > 0 else 0
+        for c, w in zip(candidates, (*config.omega_within, config.omega_cross))
+    ]
+    return _block_edges(config.community_sizes, config.m, counts, rng, sample_distinct_edges)
 
 
 def _block_edges(community_sizes, m: int, counts, rng: np.random.Generator, draw) -> list[Edge]:
@@ -274,14 +236,10 @@ def _block_edges(community_sizes, m: int, counts, rng: np.random.Generator, draw
     items, each type drawn by ``draw`` (:func:`sample_distinct_edges`, or
     :func:`sample_uniform_edges` when repeats are independent comparisons)."""
     bounds = np.cumsum((0, *community_sizes))
-
-    def crossing(edge: Edge) -> bool:
-        return np.searchsorted(bounds, edge[0], side="right") != np.searchsorted(bounds, edge[-1], side="right")
-
     edges: list[Edge] = []
     for lo, hi, count in zip(bounds[:-1], bounds[1:], counts[:-1]):
         edges.extend(draw(np.arange(lo, hi), m, int(count), rng))
-    edges.extend(draw(range(int(bounds[-1])), m, int(counts[-1]), rng, predicate=crossing))
+    edges.extend(draw(range(int(bounds[-1])), m, int(counts[-1]), rng, crossing=bounds))
     return edges
 
 

@@ -113,43 +113,64 @@ def resolve_design(design: dict, n: int) -> dict:
     return dict(design)
 
 
-def sample_design_edges(design: dict, n: int, rng: np.random.Generator) -> list:
-    kind = design["kind"]
-    if kind == "explicit":
-        edges = [tuple(sorted(int(v) for v in e)) for e in design["edges"]]
-        return edges * int(design.get("repeat", 1))
-    if kind == "fixed-sizes":
-        rules = tuple(
-            EdgeSizeRule(m=int(m), mode="fixed", count=int(c))
-            for m, c in zip(design["sizes"], design["counts"])
-        )
-        return sample_random_hypergraph(RandomHypergraphConfig(n=n, rules=rules), rng)
-    if kind == "block-bernoulli":
-        config = BlockModelConfig(
-            m=int(design["m"]),
-            community_sizes=tuple(int(s) for s in design["community_sizes"]),
-            omega_within=tuple(float(w) for w in design["omega_within"]),
-            omega_cross=float(design["omega_cross"]),
-        )
-        return sample_block_model(config, rng)
-    if kind == "block-typed":
-        # each comparison picks an edge type, then a uniform edge of that type;
-        # repeated edges are legitimate independent comparisons
-        counts = rng.multinomial(int(design["total"]), [float(p) for p in design["type_probs"]])
-        return _block_edges([int(s) for s in design["community_sizes"]], int(design["m"]), counts, rng, sample_uniform_edges)
+def _design_sampler(design: dict, n: int):
+    """The edge draw ``rng -> edges`` of a resolved design at ``n`` items. Its
+    generator config is built here, before any draw, so an unknown kind or a
+    missing or invalid field raises ValueError naming the design."""
+    kind = design.get("kind")
+    try:
+        if kind == "explicit":
+            edges = [tuple(sorted(int(v) for v in e)) for e in design["edges"]] * int(design.get("repeat", 1))
+            return lambda rng: list(edges)
+        if kind == "fixed-sizes":
+            if len(design["sizes"]) != len(design["counts"]):
+                raise ValueError("sizes and counts differ in length")
+            rules = tuple(EdgeSizeRule(m=int(m), mode="fixed", count=int(c)) for m, c in zip(design["sizes"], design["counts"]))
+            return functools.partial(sample_random_hypergraph, RandomHypergraphConfig(n=n, rules=rules))
+        if kind == "block-bernoulli":
+            config = BlockModelConfig(
+                m=int(design["m"]),
+                community_sizes=tuple(int(s) for s in design["community_sizes"]),
+                omega_within=tuple(float(w) for w in design["omega_within"]),
+                omega_cross=float(design["omega_cross"]),
+            )
+            return functools.partial(sample_block_model, config)
+        if kind == "block-typed":
+            sizes, m = [int(s) for s in design["community_sizes"]], int(design["m"])
+            total, probs = int(design["total"]), [float(p) for p in design["type_probs"]]
+            if len(probs) != len(sizes) + 1:
+                raise ValueError("type_probs needs one entry per community plus cross")
+            if min(sizes) < m:
+                raise ValueError(f"community_sizes {sizes}: a community has fewer than m={m} items")
+            if len(sizes) == 1 and probs[-1] > 0:
+                raise ValueError(f"type_probs: one community has no eligible size-{m} edges across communities")
+            # each comparison picks an edge type, then a uniform edge of that type;
+            # repeated edges are legitimate independent comparisons
+            return lambda rng: _block_edges(sizes, m, rng.multinomial(total, probs), rng, sample_uniform_edges)
+    except KeyError as exc:
+        raise ValueError(f"{kind} design needs the field {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{kind} design: {exc}") from None
     raise ValueError(f"unknown design kind {kind!r}")
 
 
-def draw_utilities(law: dict, n: int, rng: np.random.Generator) -> np.ndarray:
+def sample_design_edges(design: dict, n: int, rng: np.random.Generator) -> list:
+    return _design_sampler(design, n)(rng)
+
+
+def _utility_sampler(law: dict, n: int):
+    """The utility draw ``rng -> u`` of ``law`` at ``n`` items; an unknown kind
+    or an explicit law of the wrong length raises ValueError before any draw."""
     kind = law.get("kind", "uniform")
     if kind == "uniform":
-        return center(rng.uniform(law.get("low", -0.5), law.get("high", 0.5), size=n))
+        low, high = law.get("low", -0.5), law.get("high", 0.5)
+        return lambda rng: center(rng.uniform(low, high, size=n))
     if kind == "explicit":
-        values = np.asarray(law["values"], dtype=float)
+        values = np.asarray(law.get("values", ()), dtype=float)
         if values.shape[0] != n:
-            raise ValueError(f"explicit utilities have length {values.shape[0]}, need {n}")
-        return center(values)
-    raise ValueError(f"unknown utility law {kind!r}")
+            raise ValueError(f"explicit utility_law has {values.shape[0]} values, need {n}")
+        return lambda rng: center(values)
+    raise ValueError(f"unknown utility_law kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +222,9 @@ class ExperimentConfig:
                 raise ValueError("heterogeneity experiments need a design with community_sizes")
             if not 0 <= self.track_community < len(sizes):
                 raise ValueError(f"track_community must be in [0, {len(sizes)}), got {self.track_community}")
+        for n, design in zip(self.n_values, designs):  # generator configs are built, nothing is drawn
+            _design_sampler(design, n)
+            _utility_sampler(self.utility_law, n)
 
     @property
     def wants_se(self) -> bool:
@@ -340,7 +364,7 @@ def _replication(config: ExperimentConfig, key: tuple, rep: int, level: dict) ->
     ss = np.random.SeedSequence(config.master_seed, spawn_key=(key[0], key[1], rep))
     rng = np.random.default_rng(ss)
     n, design, community = level["n"], level["design"], level.get("community")
-    u_star = draw_utilities(config.utility_law, n, rng)
+    u_star = _utility_sampler(config.utility_law, n)(rng)
     edges = sample_design_edges(design, n, rng)
     if level.get("extra_edges"):
         edges = edges + sample_uniform_edges(np.arange(*community), int(design["m"]), level["extra_edges"], rng)

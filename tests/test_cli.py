@@ -161,6 +161,12 @@ def test_experiment_bad_config_is_config_error(tmp_path):
 
 _SMALL_COVERAGE = {"experiment": "coverage", "n_values": [12], "replications": 1,
                    "design": {"kind": "fixed-sizes", "sizes": [3], "counts": [40]}, "estimators": ["qmle"]}
+# an unknown kind, a fixed-sizes design without counts, one omega_within for two communities
+_BAD_DESIGNS = [
+    {"kind": "nope"},
+    {"kind": "fixed-sizes", "sizes": [3]},
+    {"kind": "block-bernoulli", "m": 3, "community_sizes": [6, 6], "omega_within": [0.5], "omega_cross": 0.1},
+]
 _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replications": 1,
                         "design": {"recipe": "heterogeneity"}, "estimators": ["qmle"]}
 
@@ -174,8 +180,19 @@ _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replic
     ({**_SMALL_COVERAGE, "ci_level": 1.5}, "ci_level"),
     ({**_SMALL_COVERAGE, "fit_tol": 0}, "fit_tol"),
     ({**_SMALL_COVERAGE, "fit_max_iter": 0}, "fit_max_iter"),
+    ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[0]}, "design kind"),
+    ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[1]}, "counts"),
+    ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[2]}, "omega_within"),
+    ({**_SMALL_COVERAGE, "design": {"kind": "fixed-sizes", "sizes": [3], "counts": [221]}}, "220 candidates"),
+    ({**_SMALL_COVERAGE, "design": {"kind": "block-typed", "m": 3, "community_sizes": [12], "total": 9,
+                                    "type_probs": [0.5, 0.5]}}, "type_probs"),
+    ({**_SMALL_HETEROGENEITY, "n_values": [40]}, "community_sizes"),
+    ({**_SMALL_COVERAGE, "utility_law": {"kind": "gauss"}}, "utility_law"),
+    ({**_SMALL_COVERAGE, "utility_law": {"kind": "explicit", "values": [0.0] * 11}}, "utility_law"),
 ], ids=["unknown-recipe", "no-communities", "community-past-end", "community-negative",
-        "negative-addition", "ci-level", "fit-tol", "fit-max-iter"])
+        "negative-addition", "ci-level", "fit-tol", "fit-max-iter", "unknown-design-kind", "missing-counts",
+        "omega-within-length", "too-many-distinct", "no-crossing-edge", "community-below-m",
+        "unknown-utility-law", "utility-law-length"])
 def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field):
     """Each bad value exits with the configuration-error status before any
     replication runs, and the message names the field."""
@@ -184,6 +201,14 @@ def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field
     assert main(["experiment", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("design", _BAD_DESIGNS, ids=["unknown-kind", "missing-counts", "omega-within-length"])
+def test_graph_diag_bad_design_is_config_error(tmp_path, capsys, design):
+    cfg = tmp_path / "design.json"
+    cfg.write_text(json.dumps({"n": 12, "design": design}))
+    assert main(["graph-diag", "--generate", str(cfg), "--out", str(tmp_path / "x.json")]) == 2
+    assert "bad design config" in capsys.readouterr().err
 
 
 def test_ingest_command(tmp_path, capsys):

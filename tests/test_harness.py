@@ -226,8 +226,8 @@ class TestRunExperiment:
     def test_extra_edges_go_to_the_tracked_community(self, monkeypatch):
         draws = []
 
-        def spy(items, m, count, rng, predicate=None):
-            edges = sample_uniform_edges(items, m, count, rng, predicate)
+        def spy(items, m, count, rng, crossing=None):
+            edges = sample_uniform_edges(items, m, count, rng, crossing)
             draws.append((np.asarray(items).tolist(), edges))
             return edges
 
