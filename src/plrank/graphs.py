@@ -31,7 +31,6 @@ from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _sink_componen
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
 _CHEEGER_CHUNK = 1 << 12  # subsets scanned per batch by modified_cheeger
-ENUMERATION_CAP = 10**7  # candidates the nonuniform-probability mode may enumerate
 
 
 class CapExceededError(RuntimeError):
@@ -53,8 +52,9 @@ class IsolatedVertexError(RuntimeError):
 class EdgeSizeRule:
     """How to include size-``m`` edges: ``constant`` includes each candidate
     independently with probability ``p``; ``uniform`` draws each candidate's
-    own probability from [p, q] first (nonuniform model); ``fixed`` returns
-    exactly ``count`` distinct uniform edges."""
+    own probability from [p, q] first (nonuniform model), which includes it
+    with probability (p + q) / 2; ``fixed`` returns exactly ``count`` distinct
+    uniform edges."""
 
     m: int
     mode: str  # "constant" | "uniform" | "fixed"
@@ -191,30 +191,18 @@ def sample_uniform_edges(items, m: int, count: int, rng: np.random.Generator, cr
 def sample_random_hypergraph(config: RandomHypergraphConfig, rng: np.random.Generator) -> list[Edge]:
     """Draw the per-size random hypergraph.
 
-    ``constant`` mode avoids enumerating the candidate set: the edge count is
+    The Bernoulli modes avoid enumerating the candidate set: the edge count is
     Binomial(C(n, m), p) and then that many distinct edges are uniform (the
-    same law as per-candidate coin flips). ``uniform`` mode needs per-candidate
-    probabilities, so C(n, m) must stay within ``ENUMERATION_CAP``.
+    same law as per-candidate coin flips). A ``uniform`` rule's candidates are
+    i.i.d. Bernoulli((p + q) / 2), so it takes that path at p = (p + q) / 2.
     """
     edges: list[Edge] = []
-    n = config.n
     for rule in config.rules:
-        total = math.comb(n, rule.m)
-        if rule.mode == "fixed":
-            edges.extend(sample_distinct_edges(range(n), rule.m, rule.count, rng))
-        elif rule.mode == "constant":
-            count = int(rng.binomial(total, rule.p)) if rule.p > 0 else 0
-            edges.extend(sample_distinct_edges(range(n), rule.m, count, rng))
-        else:  # uniform(p, q): genuinely nonuniform probabilities
-            if total > ENUMERATION_CAP:
-                raise CapExceededError(
-                    f"uniform-probability mode needs C({n},{rule.m})={total} candidates enumerated"
-                )
-            probs = rng.uniform(rule.p, rule.q, size=total)
-            keep = rng.random(total) < probs
-            for include, cand in zip(keep, itertools.combinations(range(n), rule.m)):
-                if include:
-                    edges.append(cand)
+        count = rule.count
+        if rule.mode != "fixed":
+            p = (rule.p + rule.q) / 2 if rule.mode == "uniform" else rule.p
+            count = int(rng.binomial(math.comb(config.n, rule.m), p)) if p > 0 else 0
+        edges.extend(sample_distinct_edges(range(config.n), rule.m, count, rng))
     return edges
 
 

@@ -2,7 +2,8 @@
 error aggregation, plot emission, and race-results ingestion.
 
 Replications are independent and reproducible: the per-replication seed is
-``SeedSequence(master_seed, spawn_key=(axis_value, level_index, rep))``, so
+``SeedSequence(master_seed, spawn_key=(n, i, rep))`` for replication ``rep``
+of level (n, i) (see :func:`run_experiment`), so
 results are byte-identical regardless of worker count. Set ``PLRANK_THREADS``
 (or pass ``workers``) to run replications in parallel processes.
 """
@@ -115,12 +116,18 @@ def resolve_design(design: dict, n: int) -> dict:
 
 def _design_sampler(design: dict, n: int):
     """The edge draw ``rng -> edges`` of a resolved design at ``n`` items. Its
-    generator config is built here, before any draw, so an unknown kind or a
-    missing or invalid field raises ValueError naming the design."""
+    generator config is built here, before any draw, so an unknown kind, a
+    missing or invalid field, or items outside [0, n) raise ValueError naming
+    the design."""
     kind = design.get("kind")
     try:
+        if sum(int(s) for s in design.get("community_sizes", ())) > n:
+            raise ValueError(f"community_sizes {design['community_sizes']} hold more than n={n} items")
         if kind == "explicit":
             edges = [tuple(sorted(int(v) for v in e)) for e in design["edges"]] * int(design.get("repeat", 1))
+            outside = [v for e in edges for v in e if not 0 <= v < n]
+            if outside:
+                raise ValueError(f"edges reference item {outside[0]}, outside [0, {n})")
             return lambda rng: list(edges)
         if kind == "fixed-sizes":
             if len(design["sizes"]) != len(design["counts"]):
@@ -159,11 +166,16 @@ def sample_design_edges(design: dict, n: int, rng: np.random.Generator) -> list:
 
 
 def _utility_sampler(law: dict, n: int):
-    """The utility draw ``rng -> u`` of ``law`` at ``n`` items; an unknown kind
-    or an explicit law of the wrong length raises ValueError before any draw."""
+    """The utility draw ``rng -> u`` of ``law`` at ``n`` items; a law that is
+    not a mapping, an unknown kind, a uniform law with low > high or an
+    explicit law of the wrong length raises ValueError before any draw."""
+    if not isinstance(law, dict):
+        raise ValueError(f"utility_law must be a mapping with a kind, got {law!r}")
     kind = law.get("kind", "uniform")
     if kind == "uniform":
         low, high = law.get("low", -0.5), law.get("high", 0.5)
+        if not low <= high:
+            raise ValueError(f"uniform utility_law needs low <= high, got low={low}, high={high}")
         return lambda rng: center(rng.uniform(low, high, size=n))
     if kind == "explicit":
         values = np.asarray(law.get("values", ()), dtype=float)
@@ -191,7 +203,7 @@ class ExperimentConfig:
     compute_se: bool | None = None  # default: only for coverage/heterogeneity
     fit_tol: float = 1e-6
     fit_max_iter: int = 5000
-    addition_schedule: tuple[int, ...] = ()  # heterogeneity: extra small-community edges
+    addition_schedule: tuple[int, ...] = ()  # heterogeneity: extra tracked-community edges per level
     track_community: int = 0  # heterogeneity: whose coverage is reported
 
     def __post_init__(self):
@@ -217,14 +229,19 @@ class ExperimentConfig:
             raise ValueError(f"fit_max_iter must be >= 1, got {self.fit_max_iter}")
         designs = [resolve_design(self.design, n) for n in self.n_values]  # an unknown recipe raises here
         if self.experiment == "heterogeneity":
-            sizes = designs[0].get("community_sizes")
-            if sizes is None:
-                raise ValueError("heterogeneity experiments need a design with community_sizes")
-            if not 0 <= self.track_community < len(sizes):
-                raise ValueError(f"track_community must be in [0, {len(sizes)}), got {self.track_community}")
+            for sizes in (d.get("community_sizes") for d in designs):
+                if sizes is None:
+                    raise ValueError("heterogeneity experiments need a design with community_sizes")
+                if not 0 <= self.track_community < len(sizes):
+                    raise ValueError(f"track_community must be in [0, {len(sizes)}), got {self.track_community}")
         for n, design in zip(self.n_values, designs):  # generator configs are built, nothing is drawn
             _design_sampler(design, n)
             _utility_sampler(self.utility_law, n)
+
+    @property
+    def schedule(self) -> tuple:
+        """Extra tracked-community edges per level i; one level adding none outside heterogeneity."""
+        return (self.addition_schedule or (0,)) if self.experiment == "heterogeneity" else (None,)
 
     @property
     def wants_se(self) -> bool:
@@ -290,7 +307,7 @@ class ExperimentResult:
         out_dir.mkdir(parents=True, exist_ok=True)
         _write_table(out_dir / "results.csv", RESULT_COLUMNS, self.rows)
         _write_table(out_dir / "timings.csv", TIMING_COLUMNS, self.rows)
-        echo = {"config": self.config.to_dict(), "resolved_designs": _stringify_keys(self.resolved_designs)}
+        echo = {"config": self.config.to_dict(), "resolved_designs": {str(k): v for k, v in self.resolved_designs.items()}}
         with open(out_dir / "config.echo.json", "w") as f:
             json.dump(echo, f, indent=2, sort_keys=True)
         try:
@@ -308,16 +325,15 @@ class ExperimentResult:
             metrics.append(("mean_sigma", "mean plug-in sigma", "sigma.svg"))
             if self.config.experiment == "heterogeneity":
                 metrics.append(("community_coverage", "small-community coverage", "community_coverage.svg"))
+        per_n = axis != "n" and len(self.config.n_values) > 1  # one line per (estimator, n)
         for key, label, fname in metrics:
-            series = {}
-            for est in self.config.estimators:
-                pts = [
-                    (row[axis], row[key])
-                    for row in self.rows
-                    if row["estimator"] == est and row.get(key) is not None
-                ]
-                if pts:
-                    series[est] = ([p[0] for p in pts], [p[1] for p in pts])
+            series: dict = {}
+            for row in self.rows:
+                if row.get(key) is not None:
+                    name = f"{row['estimator']} n={row['n']}" if per_n else row["estimator"]
+                    xs, ys = series.setdefault(name, ([], []))
+                    xs.append(row[axis])
+                    ys.append(row[key])
             if series:
                 write_line_chart(
                     fig_dir / fname,
@@ -346,28 +362,27 @@ def _fmt(value):
     return value
 
 
-def _stringify_keys(d):
-    return {str(k): v for k, v in d.items()}
-
-
 # ---------------------------------------------------------------------------
 # Replication worker
 # ---------------------------------------------------------------------------
 
 
-def _replication(config: ExperimentConfig, key: tuple, rep: int, level: dict) -> tuple:
-    """Run replication ``rep`` of the level keyed (axis_value, level_index);
-    a pure function of its (picklable) arguments. ``level`` holds what
-    differs between levels: ``n``, ``design``, ``compute_se`` and, for
-    heterogeneity, ``extra_edges`` drawn inside the tracked ``community``
-    (start, stop)."""
-    ss = np.random.SeedSequence(config.master_seed, spawn_key=(key[0], key[1], rep))
-    rng = np.random.default_rng(ss)
-    n, design, community = level["n"], level["design"], level.get("community")
+def _replication(config: ExperimentConfig, key: tuple, rep: int) -> tuple:
+    """Run replication ``rep`` of level ``key = (n, i)``; a pure function of
+    its (picklable) arguments. A heterogeneity level adds ``schedule[i]``
+    uniform edges inside the tracked community to the design's draw and
+    reports that community's coverage."""
+    n, i = key
+    rng = np.random.default_rng(np.random.SeedSequence(config.master_seed, spawn_key=(n, i, rep)))
+    design, tracked = resolve_design(config.design, n), None
     u_star = _utility_sampler(config.utility_law, n)(rng)
     edges = sample_design_edges(design, n, rng)
-    if level.get("extra_edges"):
-        edges = edges + sample_uniform_edges(np.arange(*community), int(design["m"]), level["extra_edges"], rng)
+    if config.experiment == "heterogeneity":
+        sizes, t = [int(s) for s in design["community_sizes"]], config.track_community
+        tracked = slice(sum(sizes[:t]), sum(sizes[: t + 1]))  # the tracked community's items
+        if config.schedule[i]:
+            items = np.arange(tracked.start, tracked.stop)
+            edges = edges + sample_uniform_edges(items, int(design["m"]), config.schedule[i], rng)
     dataset = sample_rankings(u_star, edges, rng)
     fit_config = FitConfig(tol_grad_inf=config.fit_tol, max_iter=config.fit_max_iter)
 
@@ -387,21 +402,20 @@ def _replication(config: ExperimentConfig, key: tuple, rep: int, level: dict) ->
             "iterations": fitted.iterations,
             "converged": fitted.converged,
         }
-        if level["compute_se"] and fitted.converged:
+        if config.wants_se and fitted.converged:
             t1 = time.perf_counter()
             report = standard_errors(fitted, dataset, level=config.ci_level)
             rec["se_time"] = time.perf_counter() - t1
             hits = report.covers(u_star)
             rec["sigma_mean"] = float(report.sigma.mean())
             rec["cover_frac"] = float(hits.mean())
-            if community is not None:
-                lo, hi = community
-                rec["community_cover_frac"] = float(hits[lo:hi].mean())
+            if tracked is not None:
+                rec["community_cover_frac"] = float(hits[tracked].mean())
         out[est] = rec
     return key, rep, out
 
 
-def _aggregate(config: ExperimentConfig, cells: dict, axis_meta: dict) -> list[dict]:
+def _aggregate(config: ExperimentConfig, cells: dict) -> list[dict]:
     rows = []
     for key in sorted(cells):
         reps = cells[key]  # rep -> {est: rec}
@@ -418,8 +432,8 @@ def _aggregate(config: ExperimentConfig, cells: dict, axis_meta: dict) -> list[d
             errors = np.array([r["linf"] for r in done]) if done else np.array([])
             row = {
                 "experiment": config.experiment,
-                "n": axis_meta[key]["n"],
-                "added_edges": axis_meta[key].get("added_edges"),
+                "n": key[0],
+                "added_edges": config.schedule[key[1]],
                 "estimator": est,
                 "replications": config.replications,
                 "completed": len(done),
@@ -457,7 +471,7 @@ def _sum_of(records, field_name):
 
 
 def _run_tasks(config: ExperimentConfig, tasks, workers: int | None):
-    """``_replication(config, *task)`` for each (key, rep, level) task."""
+    """``_replication(config, key, rep)`` for each (key, rep) task."""
     if workers is None:
         workers = int(os.environ.get("PLRANK_THREADS", "1"))
     run = functools.partial(_replication, config)
@@ -469,62 +483,32 @@ def _run_tasks(config: ExperimentConfig, tasks, workers: int | None):
         return list(pool.map(run, *zip(*tasks), chunksize=4))
 
 
-def _execute(config: ExperimentConfig, levels, resolved, out_dir, workers) -> ExperimentResult:
-    """Run ``config.replications`` replications per level and aggregate them.
+def run_experiment(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> ExperimentResult:
+    """Run every study as a grid of levels (n, i), n over ``config.n_values``
+    and i over ``config.schedule`` (a heterogeneity study's addition schedule,
+    else one level), with ``config.replications`` replications per level.
 
-    ``levels`` lists (key, axis_meta, level) with key = (axis_value,
-    level_index) and ``level`` as :func:`_replication` reads it.
+    Per replication: draw centered true utilities, sample the design (plus the
+    level's extra tracked-community edges), sample rankings, then per
+    estimator fit (the fit checks existence) and record the sup-norm error
+    plus, when ``config.wants_se``, plug-in sigmas, CI hits at the truth and
+    the SE wall-clock. A replication whose estimate does not exist or whose
+    fit does not converge is dropped (no SE) and counted in ``dropped``.
     """
-    tasks = [(key, rep, level) for key, _, level in levels for rep in range(config.replications)]
+    tasks = [((n, i), rep) for n in config.n_values for i in range(len(config.schedule)) for rep in range(config.replications)]
     cells: dict = {}
     for key, rep, rec in _run_tasks(config, tasks, workers):
         cells.setdefault(key, {})[rep] = rec
-    rows = _aggregate(config, cells, {key: meta for key, meta, _ in levels})
-    result = ExperimentResult(config=config, rows=rows, resolved_designs=resolved)
+    resolved = {n: resolve_design(config.design, n) for n in config.n_values}
+    if config.experiment == "heterogeneity":
+        resolved["schedule"] = list(config.schedule)
+    result = ExperimentResult(config=config, rows=_aggregate(config, cells), resolved_designs=resolved)
     if out_dir is not None:
         result.write_artifacts(out_dir)
     return result
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> ExperimentResult:
-    """Run a consistency or coverage experiment over ``config.n_values``.
-
-    Per replication: draw centered true utilities, sample the design, sample
-    rankings, then per estimator fit (the fit checks existence) and record
-    the sup-norm error plus (for coverage) plug-in sigmas, CI hits at the
-    truth, and the SE wall-clock. A replication whose estimate does not exist
-    or whose fit does not converge is dropped (no SE) and counted in
-    ``dropped``.
-    """
-    if config.experiment == "heterogeneity":
-        return heterogeneity_experiment(config, out_dir=out_dir, workers=workers)
-    resolved = {n: resolve_design(config.design, n) for n in config.n_values}
-    levels = [
-        ((n, 0), {"n": n}, {"n": n, "design": design, "compute_se": config.wants_se})
-        for n, design in resolved.items()
-    ]
-    return _execute(config, levels, resolved, out_dir, workers)
-
-
-def heterogeneity_experiment(config: ExperimentConfig, out_dir=None, workers: int | None = None) -> ExperimentResult:
-    """Coverage of the tracked community under growing within-community load.
-
-    The base design is sampled at ``n = n_values[0]``; each schedule entry adds
-    that many extra uniform edges (repeats allowed) inside the tracked
-    community before fitting.
-    """
-    n = config.n_values[0]
-    design = resolve_design(config.design, n)
-    schedule = config.addition_schedule or (0,)
-    sizes = [int(s) for s in design["community_sizes"]]
-    lo = sum(sizes[: config.track_community])
-    hi = lo + sizes[config.track_community]
-    levels = [
-        ((n, level_index), {"n": n, "added_edges": extra},
-         {"n": n, "design": design, "extra_edges": extra, "community": (lo, hi), "compute_se": True})
-        for level_index, extra in enumerate(schedule)
-    ]
-    return _execute(config, levels, {n: design, "schedule": list(schedule)}, out_dir, workers)
+heterogeneity_experiment = run_experiment  # alias: the driver runs heterogeneity studies too
 
 
 # ---------------------------------------------------------------------------

@@ -161,11 +161,14 @@ def test_experiment_bad_config_is_config_error(tmp_path):
 
 _SMALL_COVERAGE = {"experiment": "coverage", "n_values": [12], "replications": 1,
                    "design": {"kind": "fixed-sizes", "sizes": [3], "counts": [40]}, "estimators": ["qmle"]}
-# an unknown kind, a fixed-sizes design without counts, one omega_within for two communities
+# an unknown kind, a fixed-sizes design without counts, one omega_within for two communities, and
+# (at n = 12) an explicit edge on item 20 and communities of 40 items
 _BAD_DESIGNS = [
     {"kind": "nope"},
     {"kind": "fixed-sizes", "sizes": [3]},
     {"kind": "block-bernoulli", "m": 3, "community_sizes": [6, 6], "omega_within": [0.5], "omega_cross": 0.1},
+    {"kind": "explicit", "edges": [[0, 1], [0, 20]]},
+    {"kind": "block-bernoulli", "m": 3, "community_sizes": [20, 20], "omega_within": [0.5, 0.5], "omega_cross": 0.1},
 ]
 _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replications": 1,
                         "design": {"recipe": "heterogeneity"}, "estimators": ["qmle"]}
@@ -189,10 +192,15 @@ _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replic
     ({**_SMALL_HETEROGENEITY, "n_values": [40]}, "community_sizes"),
     ({**_SMALL_COVERAGE, "utility_law": {"kind": "gauss"}}, "utility_law"),
     ({**_SMALL_COVERAGE, "utility_law": {"kind": "explicit", "values": [0.0] * 11}}, "utility_law"),
+    ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[3]}, "edges"),
+    ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[4]}, "community_sizes"),
+    ({**_SMALL_COVERAGE, "utility_law": "uniform"}, "utility_law"),
+    ({**_SMALL_COVERAGE, "utility_law": {"kind": "uniform", "low": 1, "high": 0}}, "utility_law"),
 ], ids=["unknown-recipe", "no-communities", "community-past-end", "community-negative",
         "negative-addition", "ci-level", "fit-tol", "fit-max-iter", "unknown-design-kind", "missing-counts",
         "omega-within-length", "too-many-distinct", "no-crossing-edge", "community-below-m",
-        "unknown-utility-law", "utility-law-length"])
+        "unknown-utility-law", "utility-law-length", "edge-item-past-n", "communities-past-n",
+        "utility-law-not-mapping", "utility-law-low-above-high"])
 def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field):
     """Each bad value exits with the configuration-error status before any
     replication runs, and the message names the field."""
@@ -203,7 +211,8 @@ def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("design", _BAD_DESIGNS, ids=["unknown-kind", "missing-counts", "omega-within-length"])
+@pytest.mark.parametrize("design", _BAD_DESIGNS, ids=["unknown-kind", "missing-counts", "omega-within-length",
+                                                     "edge-item-past-n", "communities-past-n"])
 def test_graph_diag_bad_design_is_config_error(tmp_path, capsys, design):
     cfg = tmp_path / "design.json"
     cfg.write_text(json.dumps({"n": 12, "design": design}))

@@ -73,12 +73,18 @@ class TestGenerators:
         assert all(len(e) == 3 and list(e) == sorted(e) for e in edges)
 
     def test_nonuniform_mode(self):
-        rng = np.random.default_rng(4)
-        cfg = RandomHypergraphConfig(8, (EdgeSizeRule(2, "uniform", p=0.1, q=0.9),))
-        edges = sample_random_hypergraph(cfg, rng)
-        assert all(len(e) == 2 for e in edges)
-        with pytest.raises(CapExceededError):
-            sample_random_hypergraph(RandomHypergraphConfig(300, (EdgeSizeRule(4, "uniform", p=0.1, q=0.2),)), rng)
+        """A candidate whose probability is uniform on [p, q] is included with
+        probability (p + q) / 2: the edge count is Binomial(C(n, m), (p + q) / 2)."""
+        cfg = RandomHypergraphConfig(12, (EdgeSizeRule(3, "uniform", p=0.1, q=0.5),))
+        draws = [sample_random_hypergraph(cfg, np.random.default_rng(seed)) for seed in range(400)]
+        assert all(len(set(edges)) == len(edges) and all(len(e) == 3 for e in edges) for edges in draws)
+        counts = np.array([len(edges) for edges in draws])
+        mean, var = math.comb(12, 3) * 0.3, math.comb(12, 3) * 0.3 * 0.7
+        assert abs(counts.mean() - mean) < 4 * math.sqrt(var / len(counts))
+        assert abs(counts.var(ddof=1) - var) < 4 * var * math.sqrt(2 / (len(counts) - 1))
+        # C(300, 4) ~ 3.3e8 candidates are never enumerated; ~33 edges are expected
+        big = RandomHypergraphConfig(300, (EdgeSizeRule(4, "uniform", p=0.0, q=2e-7),))
+        assert 0 < len(sample_random_hypergraph(big, np.random.default_rng(4))) < 100
 
     def test_determinism(self):
         cfg = RandomHypergraphConfig(

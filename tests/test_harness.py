@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tempfile
@@ -222,6 +223,47 @@ class TestRunExperiment:
         rb = b.cell("qmle", added_edges=0)
         assert ra["mean_linf"] == rb["mean_linf"]
         assert ra["coverage"] == rb["coverage"]
+
+    def test_heterogeneity_honours_compute_se_false(self, tmp_path):
+        cfg = ExperimentConfig(
+            experiment="heterogeneity",
+            n_values=(60,),
+            replications=2,
+            design={"recipe": "heterogeneity"},
+            estimators=("qmle",),
+            addition_schedule=(0, 30),
+            compute_se=False,
+            master_seed=7,
+        )
+        res = run_experiment(cfg, out_dir=tmp_path)
+        assert all(row["coverage"] is None and row["community_coverage"] is None for row in res.rows)
+        assert all(row["mean_linf"] is not None for row in res.rows)
+        with open(tmp_path / "results.csv") as f:
+            cells = list(csv.DictReader(f))
+        assert len(cells) == 2 and all(c["coverage"] == "" and c["community_coverage"] == "" for c in cells)
+
+    def test_heterogeneity_runs_every_n(self, tmp_path):
+        common = dict(
+            experiment="heterogeneity",
+            replications=2,
+            design={"recipe": "heterogeneity"},
+            estimators=("qmle",),
+            addition_schedule=(0, 20),
+            master_seed=3,
+        )
+        one = run_experiment(ExperimentConfig(n_values=(50,), **common))
+        two = run_experiment(ExperimentConfig(n_values=(50, 60), **common), out_dir=tmp_path)
+        assert [(row["n"], row["added_edges"]) for row in two.rows] == [(50, 0), (50, 20), (60, 0), (60, 20)]
+        def results(rows):  # the results.csv columns; timings differ between runs
+            return [{c: row[c] for c in harness.RESULT_COLUMNS} for row in rows]
+
+        assert results(two.rows[:2]) == results(one.rows)
+        assert set(two.resolved_designs) == {50, 60, "schedule"}
+        legend = (tmp_path / "figures" / "coverage.svg").read_text()  # one line per (estimator, n)
+        assert ">qmle n=50<" in legend and ">qmle n=60<" in legend
+
+    def test_heterogeneity_experiment_is_run_experiment(self):
+        assert heterogeneity_experiment is run_experiment
 
     def test_extra_edges_go_to_the_tracked_community(self, monkeypatch):
         draws = []
