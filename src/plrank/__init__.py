@@ -19,8 +19,6 @@ from .model import (
 from .likelihood import (
     EnumerationBudgetError,
     expected_marginal_hessian,
-    expected_marginal_hessian_mc,
-    hessian_to_coo_csv,
     marginal_hessian,
     marginal_log_likelihood,
     marginal_score,

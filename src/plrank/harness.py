@@ -229,11 +229,16 @@ class ExperimentConfig:
             raise ValueError(f"fit_max_iter must be >= 1, got {self.fit_max_iter}")
         designs = [resolve_design(self.design, n) for n in self.n_values]  # an unknown recipe raises here
         if self.experiment == "heterogeneity":
-            for sizes in (d.get("community_sizes") for d in designs):
+            for design in designs:
+                sizes = design.get("community_sizes")
                 if sizes is None:
                     raise ValueError("heterogeneity experiments need a design with community_sizes")
                 if not 0 <= self.track_community < len(sizes):
                     raise ValueError(f"track_community must be in [0, {len(sizes)}), got {self.track_community}")
+                t, m = self.track_community, design.get("m")
+                if any(self.addition_schedule) and (m is None or int(sizes[t]) < int(m)):
+                    raise ValueError(f"addition_schedule adds size-m edges inside track_community {t} "
+                                     f"({sizes[t]} items), and the design's m is {m}")
         for n, design in zip(self.n_values, designs):  # generator configs are built, nothing is drawn
             _design_sampler(design, n)
             _utility_sampler(self.utility_law, n)

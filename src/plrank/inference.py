@@ -10,6 +10,7 @@ is an error so callers can switch estimator instead of silently degrading.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import statistics
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, apply_estimator_cutoff
-from .likelihood import _bradley_terry_block, _check_prefix_budget, _prefixes
+from .likelihood import _bradley_terry_block, _by_spread, _check_prefix_budget, _prefixes, _rescued_pair_weights, _unranked_maps
 from .model import Dataset, _edge_scores, _pairs, _triples, check_utilities, grouped_rankings
 
 #: Default cap on the enumerated prefixes of any one edge in an inference call.
@@ -44,7 +45,10 @@ def z_for_level(level: float) -> float:
 def marginal_info_term(u, edge, y: int, k: int) -> float:
     """Information contribution of one edge for item ``k`` at observed depth ``y``:
     the probability of each ordered (y-1)-prefix followed by k, times one minus
-    the probability that k is first among the items left. Zero when y = m."""
+    the probability that k is first among the items left. Zero when y = m.
+    It is k's row sum of the depth-(y-1) pair weights of
+    :func:`plrank.likelihood._rescued_pair_weights`, a log-domain walk whose
+    stage sums, and 1 - p_k, are sums of the scores left."""
     u = check_utilities(u)
     edge = tuple(edge)
     if k not in edge:
@@ -54,19 +58,8 @@ def marginal_info_term(u, edge, y: int, k: int) -> float:
         raise ValueError(f"depth {y} outside [1, {m}]")
     if y == m:
         return 0.0
-    a = {i: math.exp(u[i] - u[list(edge)].max()) for i in edge}
-    others = [i for i in edge if i != k]
-    total_all = sum(a.values())
-    out = 0.0
-    for prefix in itertools.permutations(others, y - 1):
-        prob = 1.0
-        total = total_all
-        for i in prefix:
-            prob *= a[i] / total
-            total -= a[i]
-        p_k = a[k] / total
-        out += prob * p_k * (1.0 - p_k)
-    return out
+    w = _rescued_pair_weights(u[list(edge)][None, :], y)[0, y - 1]
+    return float(w[(_pairs(m) == edge.index(k)).any(axis=1)].sum())
 
 
 def marginal_info_term_bruteforce(u, edge, y: int, k: int) -> float:
@@ -109,14 +102,11 @@ def batch_marginal_inverse_variance(u, dataset: Dataset, prefix_budget: int = DE
 
     Enumerates ordered depth-d position tuples once per (edge size, cutoff)
     group; the tuple's last slot identifies the item, so one pass covers every
-    k. Raises :class:`EnumerationBudgetError` (with per-edge counts) if some
-    edge needs more than ``prefix_budget`` prefixes; the dataset's total is
-    bounded only through memory, by chunking. Scores are shifted by each
-    edge's own maximum (every term is a ratio within one edge). The remaining
-    mass ``totals - removed`` and the stage term ``1 - a/S`` are formed by
-    subtraction, so an entry loses about eps·e^Δu of relative accuracy when
-    one item leads its edge by Δu (1.4e-3 for item 1 of u = [30, 0, -1] on
-    one 3-item edge).
+    k (:func:`_prefix_info`). Raises :class:`EnumerationBudgetError` (with
+    per-edge counts) if some edge needs more than ``prefix_budget`` prefixes;
+    the dataset's total is bounded only through memory, by chunking. Edges
+    whose utilities spread by more than :data:`plrank.likelihood._RESCUE_SPREAD`
+    take the row sums of :func:`plrank.likelihood._rescued_pair_weights`.
     """
     u = check_utilities(u, dataset.n)
     groups = grouped_rankings(dataset)
@@ -127,26 +117,41 @@ def batch_marginal_inverse_variance(u, dataset: Dataset, prefix_budget: int = DE
     for (m, cutoff), (_, rankings) in groups.items():
         edges = np.sort(rankings, axis=1)
         total_cost += edges.shape[0] * _prefix_cost(m, cutoff)
-        scores = _edge_scores(u, edges)
-        totals = scores.sum(axis=1)
-        for depth in range(1, min(cutoff, m - 1) + 1):
-            perms = _prefixes(m, depth)
-            n_p = perms.shape[0]
-            rows_per_chunk = max(1, _PREFIX_CHUNK // max(1, n_p * depth))
-            for lo in range(0, edges.shape[0], rows_per_chunk):
-                sl = slice(lo, lo + rows_per_chunk)
-                g = scores[sl][:, perms]  # (ne, np, depth)
-                removed = np.zeros_like(g)
-                if depth > 1:
-                    removed[..., 1:] = np.cumsum(g[..., :-1], axis=-1)
-                z = totals[sl, None, None] - removed
-                probs = np.prod(g / z, axis=-1)
-                term = probs * (1.0 - g[..., -1] / z[..., -1])
-                for pos in range(m):
-                    sel = np.flatnonzero(perms[:, -1] == pos)
-                    if sel.size:
-                        np.add.at(rho2, edges[sl, pos], term[:, sel].sum(axis=1))
+        depth, (p, q) = min(cutoff, m - 1), _pairs(m).T
+        by_pos = _by_spread(u, edges, lambda e: _prefix_info(_edge_scores(u, e), depth), lambda v: np.einsum(
+            "rdk,km->rm", _rescued_pair_weights(v, depth), np.eye(m)[p] + np.eye(m)[q]))  # pair weights to positions
+        rho2 += np.bincount(edges.ravel(), by_pos.ravel(), minlength=dataset.n)
     return rho2, total_cost
+
+
+def _prefix_info(scores: np.ndarray, depth: int) -> np.ndarray:
+    """Inverse-variance terms (n_e, m) of the positions of edges with per-edge
+    shifted scores (n_e, m), over depths 1..``depth``: a depth-d prefix ending
+    at k adds P(prefix) (1 - a_k/S) to k. Per depth and chunk of rows, the
+    unranked mass ``rest[t]`` of every depth-t prefix is a sum of the scores
+    it leaves unranked (:func:`plrank.likelihood._unranked_maps`), the prefix
+    probability multiplies ``a[perm[:, t]] / rest[t]`` of each ancestor, and
+    the last factor is ``rest[d] / rest[d - 1]``: nothing is subtracted. Only
+    elementwise gathers, adds and products: no BLAS, whose threads
+    oversubscribe a process pool."""
+    n_e, m = scores.shape
+    out = np.zeros((n_e, m))
+    for d in range(1, depth + 1):
+        perms = _prefixes(m, d)
+        n_p = perms.shape[0]
+        unranked = [np.nonzero(_unranked_maps(m, t)[0])[1].reshape(-1, m - t) for t in range(d + 1)]
+        ancestor = [np.arange(n_p) // math.perm(m - t, d - t) for t in range(d)]
+        by_last = np.argsort(perms[:, -1], kind="stable")  # each position ends n_p / m prefixes
+        rows = max(1, _PREFIX_CHUNK // (n_p * d))
+        for lo in range(0, n_e, rows):
+            a = scores[lo:lo + rows]
+            rest = [functools.reduce(np.add, (np.take(a, c, axis=1) for c in cols.T)) for cols in unranked]
+            probs = rest[d] / np.take(rest[d - 1], ancestor[d - 1], axis=1)
+            for t in range(d):
+                probs *= np.take(a, perms[:, t], axis=1)
+                probs /= np.take(rest[t], ancestor[t], axis=1)
+            out[lo:lo + rows] += np.add.reduceat(np.take(probs, by_last, axis=1), np.arange(0, n_p, n_p // m), axis=1)
+    return out
 
 
 def pairwise_info_term(u, edge, k: int) -> float:
@@ -173,13 +178,14 @@ def pairwise_var_term(u, edge, k: int) -> float:
     if k not in edge:
         raise ValueError(f"item {k} not in edge {edge}")
     others = [j for j in edge if j != k]
-    shift = max(u[list(edge)])
-    a = {i: math.exp(u[i] - shift) for i in edge}
+
+    def share(*items):  # probability that items[0] is chosen first, scores shifted by the items' maximum
+        top = max(u[i] for i in items)
+        return math.exp(u[items[0]] - top) / sum(math.exp(u[i] - top) for i in items)
+
     out = pairwise_info_term(u, edge, k)
     for j, t in itertools.combinations(others, 2):
-        out += 2.0 * (
-            a[k] / (a[k] + a[j] + a[t]) - a[k] ** 2 / ((a[k] + a[j]) * (a[k] + a[t]))
-        )
+        out += 2.0 * share(k, j, t) * share(j, k) * share(t, k)  # a_k a_j a_t / ((a_k+a_j+a_t)(a_k+a_j)(a_k+a_t))
     return out
 
 
@@ -195,7 +201,7 @@ def qmle_inverse_variance(u, dataset: Dataset, k: int) -> float:
             var += pairwise_var_term(u, obs.edge, k)
     if var == 0.0:
         return 0.0
-    return info**2 / var
+    return info * (info / var)  # info**2 underflows where info is below 1e-154
 
 
 def batch_qmle_inverse_variance(u, dataset: Dataset):
@@ -204,7 +210,8 @@ def batch_qmle_inverse_variance(u, dataset: Dataset):
     The information adds the Bradley-Terry weight of each edge's
     :func:`plrank.model._pairs` rows to both items; the score variance adds,
     besides, the cross term of each :func:`plrank.model._triples` row to its
-    centre. An edge costs two terms per pair and one per triple."""
+    centre (:func:`_cross_terms`), at any utility spread. An edge costs two
+    terms per pair and one per triple."""
     u = check_utilities(u, dataset.n)
     info, var = np.zeros((2, dataset.n))
     cost = 0
@@ -214,14 +221,26 @@ def batch_qmle_inverse_variance(u, dataset: Dataset):
         w = _bradley_terry_block(u, edges, m).ravel()
         for col in pairs.T:
             info += np.bincount(np.take(edges, col, axis=1).ravel(), w, minlength=dataset.n)
-        a = _edge_scores(u, edges).T.copy()  # (m, n_e): one contiguous row per position
-        terms = np.zeros_like(a)
-        for k, q, r in triples.tolist():
-            terms[k] += 2.0 * (a[k] / (a[k] + a[q] + a[r]) - a[k] ** 2 / ((a[k] + a[q]) * (a[k] + a[r])))
-        var += np.bincount(edges.T.ravel(), terms.ravel(), minlength=dataset.n)
+        var += np.bincount(edges.T.ravel(), _cross_terms(np.ascontiguousarray(u[edges.T])).ravel(), minlength=dataset.n)
         cost += edges.shape[0] * (2 * len(pairs) + len(triples))
     var += info
-    return np.divide(info**2, var, out=np.zeros(dataset.n), where=var > 0), cost
+    return info * np.divide(info, var, out=np.zeros(dataset.n), where=var > 0), cost
+
+
+def _cross_terms(v: np.ndarray) -> np.ndarray:
+    """Score-variance cross terms (m, n_e) from utilities (m, n_e): position k
+    sums 2 a_k a_q a_r / ((a_k+a_q+a_r)(a_k+a_q)(a_k+a_r)) over its
+    :func:`plrank.model._triples` rows (k, q, r), taken as
+    2 / ((1 + e_kq + e_kr)(1 + e_qk)(1 + e_rk)) with e_ij = exp(v_j - v_i):
+    nothing is subtracted, no score underflows, and an e_ij that overflows
+    makes its term 0, its limit."""
+    terms = np.zeros_like(v)
+    with np.errstate(over="ignore"):
+        e = np.exp(v[None, :, :] - v[:, None, :])  # e[i, j] = e_ij
+        one_plus = 1.0 + e
+        for k, q, r in _triples(v.shape[0]).tolist():
+            terms[k] += 1.0 / ((one_plus[k, q] + e[k, r]) * one_plus[q, k] * one_plus[r, k])
+    return 2.0 * terms
 
 
 @dataclass

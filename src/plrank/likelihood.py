@@ -14,7 +14,9 @@ sums, or densely (:func:`_laplacian`) for spectral work.
 Scores and the fit's stage sums exponentiate ``u - max(u)`` with one global
 shift, so an observation whose items all sit more than about 745 below the
 largest utility underflows to a zero score sum; Hessian blocks shift each
-edge by its own maximum instead.
+edge by its own maximum instead, and an edge whose utilities spread by more
+than :data:`_RESCUE_SPREAD` goes through a log-domain walk
+(:func:`_rescued_pair_weights`).
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ import math
 
 import numpy as np
 
-from .model import Dataset, _edge_scores, _pairs, _redraw, _suffix_logsumexp, broken_pairs, check_utilities, grouped_rankings
+from .model import Dataset, _edge_scores, _pairs, _suffix_logsumexp, broken_pairs, check_utilities, grouped_rankings
 
 _HESSIAN_CHUNK = 1 << 16  # elements the temporaries of an expected-Hessian batch hold, about
+#: Within-edge utility spread up to which every per-edge shifted score, and
+#: the square of every stage sum, is a normal double (exp(-600) > 2.2e-308).
+_RESCUE_SPREAD = 300.0
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -208,6 +213,43 @@ def _unranked_maps(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     return left, both
 
 
+def _by_spread(u, edges: np.ndarray, fast, rescue) -> np.ndarray:
+    """Rows of ``fast(edges)`` for the edges whose utilities spread by at most
+    :data:`_RESCUE_SPREAD`, and of ``rescue(u[edges])`` for the others."""
+    vals = u[edges]
+    far = functools.reduce(np.maximum, vals.T) - functools.reduce(np.minimum, vals.T) > _RESCUE_SPREAD
+    if not far.any():
+        return fast(edges)
+    near = fast(edges[~far])
+    out = np.empty((edges.shape[0],) + near.shape[1:])
+    out[~far], out[far] = near, rescue(vals[far])
+    return out
+
+
+def _rescued_pair_weights(vals: np.ndarray, y: int) -> np.ndarray:
+    """:func:`_expected_hessian_block` of edges with utilities ``vals`` (n_r,
+    m) at any spread: the same walk in the log domain. A prefix's stage sum is
+    log S = max + log sum exp(v - max) over its unranked utilities, and each
+    choice probability exp(v - log S) is formed before anything is
+    exponentiated. A prefix adds ``P(prefix) (a_p/S) (a_q/S)`` to the pair (p,
+    q), one slice (n_r, depth, n_pairs) per depth; row sums are the positions'
+    marginal inverse variances."""
+    m = vals.shape[1]
+    p, q = _pairs(m).T
+    out = np.zeros((vals.shape[0], min(y, m - 1), len(p)))
+    prob = np.ones((vals.shape[0], 1))
+    for d in range(min(y, m - 1)):
+        left = _unranked_maps(m, d)[0] > 0
+        if d:
+            parent = np.arange(left.shape[0]) // (m - d + 1)
+            prob = prob[:, parent] * choice[:, parent, _prefixes(m, d)[:, -1]]
+        v = np.where(left, vals[:, None, :], -np.inf)
+        choice = np.exp(v - v.max(axis=2, keepdims=True))
+        choice /= choice.sum(axis=2, keepdims=True)
+        out[:, d] = np.einsum("rt,rtk->rk", prob, choice[..., p] * choice[..., q])
+    return out
+
+
 def _expected_hessian_block(u, edges: np.ndarray, y: int) -> np.ndarray:
     """Off-diagonal expected-Hessian weights of same-size edges (n_e, m) at
     cutoff ``y``: one column per position pair of :func:`_pairs`.
@@ -282,7 +324,7 @@ def _pair_items(groups):
     return tuple(map(_joined, zip(*parts)))
 
 
-def _pair_weights(u, groups, block=_expected_hessian_block):
+def _pair_weights(u, groups, block):
     """Per-edge pair weights ``(i, j, w, obs)``: the :func:`_pair_items`
     with the weight w of each pair from ``block(u, rankings, y)``."""
     i, j, obs = _pair_items(groups)
@@ -292,10 +334,12 @@ def _pair_weights(u, groups, block=_expected_hessian_block):
 
 def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6):
     """Pair weights of the expected marginal Hessian's per-edge blocks, after
-    the per-edge prefix budget check."""
+    the per-edge prefix budget check; edges beyond :data:`_RESCUE_SPREAD` go
+    through :func:`_rescued_pair_weights`."""
     groups = grouped_rankings(dataset)
     _check_prefix_budget(groups, math.perm, max_prefixes_per_edge, "expected-Hessian")
-    return _pair_weights(u, groups)
+    return _pair_weights(u, groups, lambda u, edges, y: _by_spread(
+        u, edges, lambda e: _expected_hessian_block(u, e, y), lambda v: _rescued_pair_weights(v, y).sum(axis=1)))
 
 
 def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -317,38 +361,8 @@ def expected_marginal_hessian(u, dataset: Dataset, max_prefixes_per_edge: int = 
     per-depth prefix tables turn prefix probabilities and ``1/S**2`` into
     every edge's off-diagonal block with one matrix product per depth (see
     :func:`_expected_hessian_block`). Raises :class:`EnumerationBudgetError` when some edge needs more
-    than ``max_prefixes_per_edge`` ordered prefixes (m!/(m-y)!); callers may
-    then use :func:`expected_marginal_hessian_mc`.
+    than ``max_prefixes_per_edge`` ordered prefixes (m!/(m-y)!).
     """
     u = check_utilities(u, dataset.n)
     i, j, w, _ = _expected_pair_weights(u, dataset, max_prefixes_per_edge)
     return _sparse_hessian(dataset.n, i, j, w)
-
-
-def expected_marginal_hessian_mc(u, dataset: Dataset, n_samples: int = 10**4, rng=None):
-    """Monte Carlo fallback: average of outcome Hessians with entrywise
-    standard errors. Returns (mean, se) as dense arrays."""
-    u = check_utilities(u, dataset.n)
-    rng = np.random.default_rng(rng)
-    edges = Dataset.from_blocks(dataset.n, {key: (idx, np.sort(rk, axis=1)) for key, (idx, rk) in grouped_rankings(dataset).items()})
-    acc = np.zeros((dataset.n, dataset.n))
-    acc2 = np.zeros((dataset.n, dataset.n))
-    for _ in range(n_samples):
-        hh = marginal_hessian(u, _redraw(u, edges, rng)).toarray()
-        acc += hh
-        acc2 += hh**2
-    mean = acc / n_samples
-    var = np.maximum(acc2 / n_samples - mean**2, 0.0)
-    se = np.sqrt(var / n_samples)
-    return mean, se
-
-
-def hessian_to_coo_csv(h, path) -> None:
-    """Dump a (sparse) matrix as ``row,col,value`` rows for debugging."""
-    import scipy.sparse as sp
-
-    coo = sp.coo_matrix(h)
-    with open(path, "w") as f:
-        f.write("row,col,value\n")
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{int(r)},{int(c)},{float(v)!r}\n")

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from plrank import DataFormatError, Dataset, Observation, apply_estimator_cutoff, quasi_hessian
+from plrank import DataFormatError, Dataset, Observation, apply_estimator_cutoff, marginal_hessian, quasi_hessian
 from plrank.harness import IngestResult
-from plrank.model import sidecar_path
+from plrank.model import _redraw, grouped_rankings, sidecar_path
 
 
 def prefix_weights(u_edge: np.ndarray, prefix: tuple[int, ...]) -> tuple[float, np.ndarray]:
@@ -63,6 +63,101 @@ def expected_marginal_hessian_loop(u, dataset: Dataset) -> np.ndarray:
         h[np.ix_(idx, idx)] += local
     np.fill_diagonal(h, h.diagonal() - h.sum(axis=1))
     return h
+
+
+def expected_marginal_hessian_mc(u, dataset: Dataset, n_samples: int = 10**4, rng=None):
+    """Monte Carlo expected marginal Hessian: average of outcome Hessians with
+    entrywise standard errors. Returns (mean, se) as dense arrays."""
+    u = np.asarray(u, dtype=float)
+    rng = np.random.default_rng(rng)
+    edges = Dataset.from_blocks(dataset.n, {key: (idx, np.sort(rk, axis=1)) for key, (idx, rk) in grouped_rankings(dataset).items()})
+    acc = np.zeros((dataset.n, dataset.n))
+    acc2 = np.zeros((dataset.n, dataset.n))
+    for _ in range(n_samples):
+        hh = marginal_hessian(u, _redraw(u, edges, rng)).toarray()
+        acc += hh
+        acc2 += hh**2
+    mean = acc / n_samples
+    var = np.maximum(acc2 / n_samples - mean**2, 0.0)
+    se = np.sqrt(var / n_samples)
+    return mean, se
+
+
+def hessian_to_coo_csv(h, path) -> None:
+    """Dump a (sparse) matrix as ``row,col,value`` rows for debugging."""
+    import scipy.sparse as sp
+
+    coo = sp.coo_matrix(h)
+    with open(path, "w") as f:
+        f.write("row,col,value\n")
+        for r, c, v in zip(coo.row, coo.col, coo.data):
+            f.write(f"{int(r)},{int(c)},{float(v)!r}\n")
+
+
+def _exact_scores(mpmath, u, edge):
+    return {i: mpmath.exp(mpmath.mpf(float(u[i]))) for i in edge}
+
+
+def exact_marginal_inverse_variance(mpmath, u, dataset: Dataset) -> np.ndarray:
+    """Every item's marginal-family inverse variance in mpmath at its current
+    precision, rounded to double once: over observations, depths d up to
+    min(cutoff, m - 1) and ordered depth-d prefixes ending at k, the sum of
+    P(first d - 1 choices) p_k (1 - p_k), p_k being k's probability to be
+    chosen next and 1 - p_k the others' (summed: no precision suffices for
+    the difference at spreads of hundreds)."""
+    out = [mpmath.mpf(0)] * dataset.n
+    for obs in dataset.observations:
+        a = _exact_scores(mpmath, u, obs.edge)
+        for d in range(1, min(obs.cutoff, obs.m - 1) + 1):
+            for prefix in itertools.permutations(obs.edge, d):
+                prob, left = mpmath.mpf(1), set(obs.edge)
+                for i in prefix[:-1]:
+                    prob *= a[i] / mpmath.fsum(a[j] for j in left)
+                    left.remove(i)
+                k = prefix[-1]
+                total = mpmath.fsum(a[j] for j in left)
+                out[k] += prob * a[k] / total * mpmath.fsum(a[j] for j in left if j != k) / total
+    return np.array([float(x) for x in out])
+
+
+def exact_expected_pair_weights(mpmath, u, dataset: Dataset) -> np.ndarray:
+    """Off-diagonal entries (n, n) of the expected marginal Hessian in mpmath:
+    for each observation and pair {p, q}, a_p a_q times the sum over depths
+    d < min(cutoff, m - 1) and ordered depth-d prefixes leaving both unranked
+    of P(prefix) / S**2."""
+    out = [[mpmath.mpf(0)] * dataset.n for _ in range(dataset.n)]
+    for obs in dataset.observations:
+        a = _exact_scores(mpmath, u, obs.edge)
+        for d in range(min(obs.cutoff, obs.m - 1)):
+            for prefix in itertools.permutations(obs.edge, d):
+                prob, left = mpmath.mpf(1), set(obs.edge)
+                for i in prefix:
+                    prob *= a[i] / mpmath.fsum(a[j] for j in left)
+                    left.remove(i)
+                s = mpmath.fsum(a[j] for j in left)
+                for p, q in itertools.combinations(sorted(left), 2):
+                    w = prob * a[p] * a[q] / s**2
+                    out[p][q] += w
+                    out[q][p] += w
+    return np.array([[float(x) for x in row] for row in out])
+
+
+def exact_qmle_inverse_variance(mpmath, u, dataset: Dataset) -> np.ndarray:
+    """Every item's QMLE sandwich inverse variance in mpmath, rounded to
+    double once: info**2 / (info + cross) with the Bradley-Terry information
+    a_k a_j / (a_k + a_j)**2 and the cross terms
+    2 a_k a_j a_t / ((a_k+a_j+a_t)(a_k+a_j)(a_k+a_t)) of every observation."""
+    info = [mpmath.mpf(0)] * dataset.n
+    var = [mpmath.mpf(0)] * dataset.n
+    for obs in dataset.observations:
+        a = _exact_scores(mpmath, u, obs.edge)
+        for k in obs.edge:
+            others = [j for j in obs.edge if j != k]
+            for j in others:
+                info[k] += a[k] * a[j] / (a[k] + a[j]) ** 2
+            for j, t in itertools.combinations(others, 2):
+                var[k] += 2 * a[k] * a[j] * a[t] / ((a[k] + a[j] + a[t]) * (a[k] + a[j]) * (a[k] + a[t]))
+    return np.array([float(i**2 / (i + v)) if i + v > 0 else 0.0 for i, v in zip(info, var)])
 
 
 def expected_neg_hessian_loop(dataset: Dataset, u, estimator: str) -> np.ndarray:

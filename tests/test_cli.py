@@ -196,11 +196,17 @@ _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replic
     ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[4]}, "community_sizes"),
     ({**_SMALL_COVERAGE, "utility_law": "uniform"}, "utility_law"),
     ({**_SMALL_COVERAGE, "utility_law": {"kind": "uniform", "low": 1, "high": 0}}, "utility_law"),
+    ({**_SMALL_HETEROGENEITY, "addition_schedule": [0, 4],
+      "design": {"kind": "fixed-sizes", "sizes": [3], "counts": [60], "community_sizes": [10, 20]}}, "m is None"),
+    ({**_SMALL_HETEROGENEITY, "addition_schedule": [0, 4],
+      "design": {"kind": "block-bernoulli", "m": 5, "community_sizes": [3, 27], "omega_within": [0.5, 0.01],
+                 "omega_cross": 0.01}}, "track_community 0 (3 items)"),
 ], ids=["unknown-recipe", "no-communities", "community-past-end", "community-negative",
         "negative-addition", "ci-level", "fit-tol", "fit-max-iter", "unknown-design-kind", "missing-counts",
         "omega-within-length", "too-many-distinct", "no-crossing-edge", "community-below-m",
         "unknown-utility-law", "utility-law-length", "edge-item-past-n", "communities-past-n",
-        "utility-law-not-mapping", "utility-law-low-above-high"])
+        "utility-law-not-mapping", "utility-law-low-above-high", "added-edges-without-m",
+        "tracked-community-below-m"])
 def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field):
     """Each bad value exits with the configuration-error status before any
     replication runs, and the message names the field."""

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from oracles import exact_expected_pair_weights, exact_marginal_inverse_variance, exact_qmle_inverse_variance
 from scipy.stats import norm
 from strategies import cutoff_datasets, utilities
 
@@ -12,6 +13,7 @@ from plrank import (
     FitResult,
     Observation,
     center,
+    expected_marginal_hessian,
     fit_marginal_mle,
     fit_qmle,
     marginal_info_term,
@@ -222,6 +224,54 @@ class TestInverseVariances:
         m4 = ((vals - vals.mean(axis=0)) ** 4).mean(axis=0)
         se = np.sqrt(np.maximum(m4 - var**2, 0) / reps)
         assert np.all(np.abs(var - want) <= 4 * se)
+
+
+class TestExactValues:
+    """Every inverse variance and expected-Hessian weight against 50-digit
+    mpmath, within 1e-13 relative."""
+
+    @staticmethod
+    def check(u, ds, rtol=1e-13):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            rho = exact_marginal_inverse_variance(mpmath, u, ds)
+            rho_q = exact_qmle_inverse_variance(mpmath, u, ds)
+            weights = exact_expected_pair_weights(mpmath, u, ds)
+        got = {
+            "batch": batch_marginal_inverse_variance(u, ds)[0],
+            "per-item": [marginal_inverse_variance(u, ds, k) for k in range(ds.n)],
+            "qmle batch": batch_qmle_inverse_variance(u, ds)[0],
+            "qmle per-item": [qmle_inverse_variance(u, ds, k) for k in range(ds.n)],
+            "expected Hessian": expected_marginal_hessian(u, ds).toarray() * (1 - np.eye(ds.n)),
+        }
+        want = {"batch": rho, "per-item": rho, "qmle batch": rho_q, "qmle per-item": rho_q, "expected Hessian": weights}
+        for name, value in got.items():
+            assert np.all(np.isfinite(value)), name
+            np.testing.assert_allclose(value, want[name], rtol=rtol, atol=0, err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cutoff_datasets(max_items=6, max_m=5, max_obs=4), utilities(6, bound=30.0))
+    def test_mpmath_oracle_property(self, ds, u):
+        self.check(u[: ds.n], ds)
+
+    @pytest.mark.parametrize("u, observations", [
+        # one item leads by 30: the subtracted forms were 1.4e-3 off
+        ([30.0, 0.0, -1.0], [(0, 1, 2)]),
+        ([5.0, 5.0, 1.77, 2.5, -1.0, -5.0],
+         [(2, 5, 4, 1, 3, 0), (3, 5, 0, 2), (3, 0, 4, 1, 5), (4, 2, 5, 1), (0, 5, 3, 4, 2, 1), (2, 3, 5, 1)]),
+        # the QMLE cross term of item 0 was 1.1e-11 off
+        ([12.0, 0.0, 0.5, -1.0], [(0, 1, 2, 3)]),
+        # utility spreads beyond the rescue threshold: the stage sums left after
+        # item 0 is ranked, or their squares, underflow on the per-edge shift
+        # (NaN and zero SEs, an inf or NaN expected Hessian); item 0's own
+        # inverse variances, about 3 e^-800, are below the double range
+        ([0.0, -800.0, -800.0, -800.0], [(0, 1, 2, 3)]),
+        ([0.0, -400.0, -400.0], [(0, 1, 2)]),
+        ([0.0, -800.0, -800.0], [(0, 1, 2)]),
+    ])
+    def test_regressions(self, u, observations):
+        u = np.array(u)
+        self.check(u, Dataset(len(u), [Observation(o) for o in observations]))
 
 
 class TestQuantiles:

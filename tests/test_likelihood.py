@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import expected_marginal_hessian_loop
+from oracles import expected_marginal_hessian_loop, expected_marginal_hessian_mc, hessian_to_coo_csv
 from strategies import cutoff_datasets, utilities
 
 from plrank import (
@@ -14,8 +14,6 @@ from plrank import (
     broken_pairs,
     center,
     expected_marginal_hessian,
-    expected_marginal_hessian_mc,
-    hessian_to_coo_csv,
     marginal_hessian,
     marginal_log_likelihood,
     marginal_score,
@@ -223,6 +221,23 @@ class TestExpectedHessian:
         mean, se = expected_marginal_hessian_mc(u, ds, n_samples=10000, rng=rng)
         gap = np.abs(mean - exact)
         assert np.all(gap <= 4 * se + 1e-12)
+
+    def test_rescue_path_unused_within_the_threshold(self, monkeypatch):
+        # utilities spread by 300 at most never reach the log-domain walks
+        import plrank.inference
+        import plrank.likelihood
+
+        def fail(*args):
+            raise AssertionError("rescue path taken")
+
+        monkeypatch.setattr(plrank.likelihood, "_rescued_pair_weights", fail)
+        monkeypatch.setattr(plrank.inference, "_rescued_pair_weights", fail)
+        rng = np.random.default_rng(43)
+        ds = sample_rankings(np.zeros(8), [tuple(rng.permutation(8)[:m]) for m in (3, 4, 5, 6) for _ in range(3)], rng)
+        for u in (np.zeros(8), np.linspace(-150.0, 150.0, 8)):
+            assert np.all(np.isfinite(expected_marginal_hessian(u, ds).toarray()))
+            assert np.all(np.isfinite(plrank.inference.batch_marginal_inverse_variance(u, ds)[0]))
+            assert np.all(np.isfinite(plrank.inference.batch_qmle_inverse_variance(u, ds)[0]))
 
     def test_budget_error(self):
         ds = Dataset(9, [Observation(tuple(range(9)))])
