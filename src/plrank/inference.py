@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, apply_estimator_cutoff
-from .likelihood import _bradley_terry_block, _by_spread, _check_prefix_budget, _prefixes, _rescued_pair_weights, _unranked_maps
+from .likelihood import _bradley_terry_block, _by_spread, _check_prefix_budget, _prefixes, _rescued_pair_weights, _row_chunks, _unranked_maps
 from .model import Dataset, _edge_scores, _pairs, _triples, check_utilities, grouped_rankings
 
 #: Default cap on the enumerated prefixes of any one edge in an inference call.
 DEFAULT_PREFIX_BUDGET = 10**7
-_PREFIX_CHUNK = 1 << 21  # elements the temporaries of a prefix batch hold, about
 
 
 def normal_quantile(p: float) -> float:
@@ -104,7 +103,8 @@ def batch_marginal_inverse_variance(u, dataset: Dataset, prefix_budget: int = DE
     group; the tuple's last slot identifies the item, so one pass covers every
     k (:func:`_prefix_info`). Raises :class:`EnumerationBudgetError` (with
     per-edge counts) if some edge needs more than ``prefix_budget`` prefixes;
-    the dataset's total is bounded only through memory, by chunking. Edges
+    the dataset's total is not capped, and rows are batched by the per-edge
+    prefix count (:func:`plrank.likelihood._row_chunks`). Edges
     whose utilities spread by more than :data:`plrank.likelihood._RESCUE_SPREAD`
     take the row sums of :func:`plrank.likelihood._rescued_pair_weights`.
     """
@@ -131,9 +131,9 @@ def _prefix_info(scores: np.ndarray, depth: int) -> np.ndarray:
     unranked mass ``rest[t]`` of every depth-t prefix is a sum of the scores
     it leaves unranked (:func:`plrank.likelihood._unranked_maps`), the prefix
     probability multiplies ``a[perm[:, t]] / rest[t]`` of each ancestor, and
-    the last factor is ``rest[d] / rest[d - 1]``: nothing is subtracted. Only
-    elementwise gathers, adds and products: no BLAS, whose threads
-    oversubscribe a process pool."""
+    the last factor is ``rest[d] / rest[d - 1]``: nothing is subtracted. Rows
+    are batched on the P(m, d) prefixes of depth d. Only elementwise gathers,
+    adds and products: no BLAS, whose threads oversubscribe a process pool."""
     n_e, m = scores.shape
     out = np.zeros((n_e, m))
     for d in range(1, depth + 1):
@@ -142,15 +142,14 @@ def _prefix_info(scores: np.ndarray, depth: int) -> np.ndarray:
         unranked = [np.nonzero(_unranked_maps(m, t)[0])[1].reshape(-1, m - t) for t in range(d + 1)]
         ancestor = [np.arange(n_p) // math.perm(m - t, d - t) for t in range(d)]
         by_last = np.argsort(perms[:, -1], kind="stable")  # each position ends n_p / m prefixes
-        rows = max(1, _PREFIX_CHUNK // (n_p * d))
-        for lo in range(0, n_e, rows):
-            a = scores[lo:lo + rows]
+        for rows in _row_chunks(n_e, n_p):
+            a = scores[rows]
             rest = [functools.reduce(np.add, (np.take(a, c, axis=1) for c in cols.T)) for cols in unranked]
             probs = rest[d] / np.take(rest[d - 1], ancestor[d - 1], axis=1)
             for t in range(d):
                 probs *= np.take(a, perms[:, t], axis=1)
                 probs /= np.take(rest[t], ancestor[t], axis=1)
-            out[lo:lo + rows] += np.add.reduceat(np.take(probs, by_last, axis=1), np.arange(0, n_p, n_p // m), axis=1)
+            out[rows] += np.add.reduceat(np.take(probs, by_last, axis=1), np.arange(0, n_p, n_p // m), axis=1)
     return out
 
 
@@ -210,18 +209,22 @@ def batch_qmle_inverse_variance(u, dataset: Dataset):
     The information adds the Bradley-Terry weight of each edge's
     :func:`plrank.model._pairs` rows to both items; the score variance adds,
     besides, the cross term of each :func:`plrank.model._triples` row to its
-    centre (:func:`_cross_terms`), at any utility spread. An edge costs two
-    terms per pair and one per triple."""
+    centre (:func:`_cross_terms`), at any utility spread, both in row batches
+    of m**2 elements per edge. An edge costs two terms per pair and one per
+    triple."""
     u = check_utilities(u, dataset.n)
     info, var = np.zeros((2, dataset.n))
     cost = 0
     for (m, _), (_, rankings) in grouped_rankings(dataset).items():
         edges = np.sort(rankings, axis=1)
         pairs, triples = _pairs(m), _triples(m)
-        w = _bradley_terry_block(u, edges, m).ravel()
+        w, cross = np.empty((edges.shape[0], len(pairs))), np.empty((m, edges.shape[0]))
+        for rows in _row_chunks(edges.shape[0], m * m):
+            w[rows] = _bradley_terry_block(u, edges[rows], m)
+            cross[:, rows] = _cross_terms(np.ascontiguousarray(u[edges[rows].T]))
         for col in pairs.T:
-            info += np.bincount(np.take(edges, col, axis=1).ravel(), w, minlength=dataset.n)
-        var += np.bincount(edges.T.ravel(), _cross_terms(np.ascontiguousarray(u[edges.T])).ravel(), minlength=dataset.n)
+            info += np.bincount(np.take(edges, col, axis=1).ravel(), w.ravel(), minlength=dataset.n)
+        var += np.bincount(edges.T.ravel(), cross.ravel(), minlength=dataset.n)
         cost += edges.shape[0] * (2 * len(pairs) + len(triples))
     var += info
     return info * np.divide(info, var, out=np.zeros(dataset.n), where=var > 0), cost

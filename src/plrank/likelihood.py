@@ -15,8 +15,8 @@ Scores and the fit's stage sums exponentiate ``u - max(u)`` with one global
 shift, so an observation whose items all sit more than about 745 below the
 largest utility underflows to a zero score sum; Hessian blocks shift each
 edge by its own maximum instead, and an edge whose utilities spread by more
-than :data:`_RESCUE_SPREAD` goes through a log-domain walk
-(:func:`_rescued_pair_weights`).
+than :data:`_RESCUE_SPREAD` goes through a log-domain form
+(:func:`_rescued_pair_weights`, :func:`_rescued_observed_block`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from .model import Dataset, _edge_scores, _pairs, _suffix_logsumexp, broken_pairs, check_utilities, grouped_rankings
 
-_HESSIAN_CHUNK = 1 << 16  # elements the temporaries of an expected-Hessian batch hold, about
+_CHUNK = 1 << 16  # elements (512 KB of doubles) of the widest temporary of a row batch (:func:`_row_chunks`)
 #: Within-edge utility spread up to which every per-edge shifted score, and
 #: the square of every stage sum, is a normal double (exp(-600) > 2.2e-308).
 _RESCUE_SPREAD = 300.0
@@ -44,6 +44,14 @@ class EnumerationBudgetError(RuntimeError):
     def __init__(self, message, per_edge=None):
         super().__init__(message)
         self.per_edge = dict(per_edge or {})
+
+
+def _row_chunks(n_rows: int, widest_per_row: int) -> list[slice]:
+    """Slices of ``n_rows`` rows, as many per slice as keep ``widest_per_row``
+    elements per row within :data:`_CHUNK` (or one). Elementwise kernels
+    compute each row alone, so they do not depend on the budget."""
+    rows = max(1, _CHUNK // widest_per_row)
+    return [slice(lo, lo + rows) for lo in range(0, n_rows, rows)]
 
 
 def _pair_block(dataset: Dataset) -> dict:
@@ -98,10 +106,14 @@ def _marginal_pass(u, groups, work: dict | None = None) -> tuple[np.ndarray, np.
 
 
 def _marginal_loglik_from_groups(u, groups) -> float:
+    """Sum of the groups' (rows, y) log-mass terms, filled in row batches."""
     total = 0.0
-    for (_, y), (_, rankings) in groups.items():
-        vals = u[rankings]
-        total += float(np.sum(vals[:, :y] - _suffix_logsumexp(vals)[:, :y]))
+    for (m, y), (_, rankings) in groups.items():
+        terms = np.empty((len(rankings), y))
+        for rows in _row_chunks(len(rankings), m):
+            vals = u[rankings[rows]]
+            terms[rows] = vals[:, :y] - _suffix_logsumexp(vals)[:, :y]
+        total += float(np.sum(terms))
     return total
 
 
@@ -151,6 +163,16 @@ def _observed_hessian_block(u, rankings: np.ndarray, y: int) -> np.ndarray:
     return a[:, p] * a[:, q] * c2[:, np.minimum(p, y - 1)]
 
 
+def _rescued_observed_block(vals: np.ndarray, y: int) -> np.ndarray:
+    """:func:`_observed_hessian_block` of rankings with utilities ``vals``
+    (n_r, m) at any spread: the products of stage j's choice probabilities
+    a_t/S_j, t >= j (:func:`_choice_shares`), summed over the stages."""
+    m = vals.shape[1]
+    p, q = _pairs(m).T
+    share = _choice_shares(vals, np.arange(m) >= np.arange(y)[:, None])
+    return np.sum(share[:, :, p] * share[:, :, q], axis=1)
+
+
 def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> scipy.sparse.csr_matrix:
     """Negative weighted Laplacian of pair weights (repeats add), sparse: w
     off the diagonal, and the diagonal is minus the row sums. Repeats are
@@ -163,7 +185,8 @@ def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> scip
 
 
 def _hessian(u, groups, n: int) -> scipy.sparse.csr_matrix:
-    i, j, w, _ = _pair_weights(u, groups, _observed_hessian_block)
+    i, j, w, _ = _pair_weights(u, groups, lambda u, rankings, y: _by_spread(
+        u, rankings, lambda r: _observed_hessian_block(u, r, y), lambda v: _rescued_observed_block(v, y)))
     return _sparse_hessian(n, i, j, w)
 
 
@@ -226,14 +249,21 @@ def _by_spread(u, edges: np.ndarray, fast, rescue) -> np.ndarray:
     return out
 
 
+def _choice_shares(vals: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """Choice probabilities (n_r, n_s, m) among the positions each of n_s
+    stages leaves (``left``, (n_s, m)), 0 elsewhere: log S = max + log sum
+    exp(v - max) is formed before anything is exponentiated."""
+    v = np.where(left, vals[:, None, :], -np.inf)
+    share = np.exp(v - v.max(axis=2, keepdims=True))
+    return share / share.sum(axis=2, keepdims=True)
+
+
 def _rescued_pair_weights(vals: np.ndarray, y: int) -> np.ndarray:
     """:func:`_expected_hessian_block` of edges with utilities ``vals`` (n_r,
-    m) at any spread: the same walk in the log domain. A prefix's stage sum is
-    log S = max + log sum exp(v - max) over its unranked utilities, and each
-    choice probability exp(v - log S) is formed before anything is
-    exponentiated. A prefix adds ``P(prefix) (a_p/S) (a_q/S)`` to the pair (p,
-    q), one slice (n_r, depth, n_pairs) per depth; row sums are the positions'
-    marginal inverse variances."""
+    m) at any spread: the same walk in the log domain (:func:`_choice_shares`).
+    A prefix adds ``P(prefix) (a_p/S) (a_q/S)`` to the pair (p, q), one slice
+    (n_r, depth, n_pairs) per depth; row sums are the positions' marginal
+    inverse variances."""
     m = vals.shape[1]
     p, q = _pairs(m).T
     out = np.zeros((vals.shape[0], min(y, m - 1), len(p)))
@@ -243,9 +273,7 @@ def _rescued_pair_weights(vals: np.ndarray, y: int) -> np.ndarray:
         if d:
             parent = np.arange(left.shape[0]) // (m - d + 1)
             prob = prob[:, parent] * choice[:, parent, _prefixes(m, d)[:, -1]]
-        v = np.where(left, vals[:, None, :], -np.inf)
-        choice = np.exp(v - v.max(axis=2, keepdims=True))
-        choice /= choice.sum(axis=2, keepdims=True)
+        choice = _choice_shares(vals, left)
         out[:, d] = np.einsum("rt,rtk->rk", prob, choice[..., p] * choice[..., q])
     return out
 
@@ -262,16 +290,16 @@ def _expected_hessian_block(u, edges: np.ndarray, y: int) -> np.ndarray:
     product with the 0/1 unranked map (a sum of positive scores, no
     cancellation), and one product with the 0/1 pair map adds the depth to
     every edge's block. Scores are shifted by each edge's own maximum (the
-    shift cancels), and temporaries hold about :data:`_HESSIAN_CHUNK` elements.
+    shift cancels). Rows are batched on the last depth's prefixes or the
+    pairs, whichever are more; BLAS rounds by the batch's shape.
     """
     m = edges.shape[1]
     depth = min(y, m - 1)  # depth m - 1 leaves one item: no unranked pair
     pairs = _pairs(m)
     a = _edge_scores(u, edges)
     out = np.zeros((edges.shape[0], len(pairs)))
-    rows = max(1, _HESSIAN_CHUNK // max(math.perm(m, depth - 1), len(pairs)))
-    for lo in range(0, edges.shape[0], rows):
-        ac = a[lo:lo + rows]
+    for rows in _row_chunks(edges.shape[0], max(math.perm(m, depth - 1), len(pairs))):
+        ac = a[rows]
         prob = np.ones((ac.shape[0], 1))
         for d in range(depth):
             left, both = _unranked_maps(m, d)
@@ -279,7 +307,7 @@ def _expected_hessian_block(u, edges: np.ndarray, y: int) -> np.ndarray:
                 parent = np.arange(left.shape[0]) // (m - d + 1)
                 prob = prob[:, parent] * ac[:, _prefixes(m, d)[:, -1]] / rest[:, parent]
             rest = ac @ left.T
-            out[lo:lo + rows] += (prob / rest**2) @ both
+            out[rows] += (prob / rest**2) @ both
     return out * a[:, pairs[:, 0]] * a[:, pairs[:, 1]]
 
 

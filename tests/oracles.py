@@ -142,6 +142,25 @@ def exact_expected_pair_weights(mpmath, u, dataset: Dataset) -> np.ndarray:
     return np.array([[float(x) for x in row] for row in out])
 
 
+def exact_marginal_hessian(mpmath, u, dataset: Dataset) -> np.ndarray:
+    """The observed marginal Hessian (n, n) in mpmath: for each observation
+    and positions p < q of its ranking, the weight a_p a_q times the sum over
+    stages j <= min(p, cutoff - 1) of 1 / S_j**2, S_j the scores from
+    position j on, off the diagonal, and minus the row sums on it."""
+    out = [[mpmath.mpf(0)] * dataset.n for _ in range(dataset.n)]
+    for obs in dataset.observations:
+        a = _exact_scores(mpmath, u, obs.ranking)
+        s = [mpmath.fsum(a[i] for i in obs.ranking[j:]) for j in range(obs.m)]
+        for p, q in itertools.combinations(range(obs.m), 2):
+            i, k = obs.ranking[p], obs.ranking[q]
+            w = a[i] * a[k] * mpmath.fsum(1 / s[j] ** 2 for j in range(min(p, obs.cutoff - 1) + 1))
+            out[i][k] += w
+            out[k][i] += w
+            out[i][i] -= w
+            out[k][k] -= w
+    return np.array([[float(x) for x in row] for row in out])
+
+
 def exact_qmle_inverse_variance(mpmath, u, dataset: Dataset) -> np.ndarray:
     """Every item's QMLE sandwich inverse variance in mpmath, rounded to
     double once: info**2 / (info + cross) with the Bradley-Terry information

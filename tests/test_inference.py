@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from oracles import exact_expected_pair_weights, exact_marginal_inverse_variance, exact_qmle_inverse_variance
+from oracles import (
+    exact_expected_pair_weights,
+    exact_marginal_hessian,
+    exact_marginal_inverse_variance,
+    exact_qmle_inverse_variance,
+)
 from scipy.stats import norm
 from strategies import cutoff_datasets, utilities
 
@@ -16,6 +21,7 @@ from plrank import (
     expected_marginal_hessian,
     fit_marginal_mle,
     fit_qmle,
+    marginal_hessian,
     marginal_info_term,
     marginal_inverse_variance,
     marginal_score,
@@ -227,8 +233,8 @@ class TestInverseVariances:
 
 
 class TestExactValues:
-    """Every inverse variance and expected-Hessian weight against 50-digit
-    mpmath, within 1e-13 relative."""
+    """Every inverse variance, expected-Hessian weight and observed-Hessian
+    entry against 50-digit mpmath, within 1e-13 relative."""
 
     @staticmethod
     def check(u, ds, rtol=1e-13):
@@ -237,14 +243,17 @@ class TestExactValues:
             rho = exact_marginal_inverse_variance(mpmath, u, ds)
             rho_q = exact_qmle_inverse_variance(mpmath, u, ds)
             weights = exact_expected_pair_weights(mpmath, u, ds)
+            hessian = exact_marginal_hessian(mpmath, u, ds)
         got = {
             "batch": batch_marginal_inverse_variance(u, ds)[0],
             "per-item": [marginal_inverse_variance(u, ds, k) for k in range(ds.n)],
             "qmle batch": batch_qmle_inverse_variance(u, ds)[0],
             "qmle per-item": [qmle_inverse_variance(u, ds, k) for k in range(ds.n)],
             "expected Hessian": expected_marginal_hessian(u, ds).toarray() * (1 - np.eye(ds.n)),
+            "Hessian": marginal_hessian(u, ds).toarray(),
         }
-        want = {"batch": rho, "per-item": rho, "qmle batch": rho_q, "qmle per-item": rho_q, "expected Hessian": weights}
+        want = {"batch": rho, "per-item": rho, "qmle batch": rho_q, "qmle per-item": rho_q, "expected Hessian": weights,
+                "Hessian": hessian}
         for name, value in got.items():
             assert np.all(np.isfinite(value)), name
             np.testing.assert_allclose(value, want[name], rtol=rtol, atol=0, err_msg=name)
@@ -263,8 +272,9 @@ class TestExactValues:
         ([12.0, 0.0, 0.5, -1.0], [(0, 1, 2, 3)]),
         # utility spreads beyond the rescue threshold: the stage sums left after
         # item 0 is ranked, or their squares, underflow on the per-edge shift
-        # (NaN and zero SEs, an inf or NaN expected Hessian); item 0's own
-        # inverse variances, about 3 e^-800, are below the double range
+        # (NaN and zero SEs, an inf or NaN expected Hessian, a NaN observed
+        # Hessian from spread 354 on); item 0's own inverse variances, about
+        # 3 e^-800, are below the double range
         ([0.0, -800.0, -800.0, -800.0], [(0, 1, 2, 3)]),
         ([0.0, -400.0, -400.0], [(0, 1, 2)]),
         ([0.0, -800.0, -800.0], [(0, 1, 2)]),

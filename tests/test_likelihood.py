@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +10,17 @@ from hypothesis import strategies as st
 from oracles import expected_marginal_hessian_loop, expected_marginal_hessian_mc, hessian_to_coo_csv
 from strategies import cutoff_datasets, utilities
 
+import plrank.likelihood
+from plrank import graphs
 from plrank import (
     Dataset,
     Observation,
+    batch_marginal_inverse_variance,
+    batch_qmle_inverse_variance,
     broken_pairs,
     center,
     expected_marginal_hessian,
+    fit,
     marginal_hessian,
     marginal_log_likelihood,
     marginal_score,
@@ -231,11 +238,13 @@ class TestExpectedHessian:
             raise AssertionError("rescue path taken")
 
         monkeypatch.setattr(plrank.likelihood, "_rescued_pair_weights", fail)
+        monkeypatch.setattr(plrank.likelihood, "_rescued_observed_block", fail)
         monkeypatch.setattr(plrank.inference, "_rescued_pair_weights", fail)
         rng = np.random.default_rng(43)
         ds = sample_rankings(np.zeros(8), [tuple(rng.permutation(8)[:m]) for m in (3, 4, 5, 6) for _ in range(3)], rng)
         for u in (np.zeros(8), np.linspace(-150.0, 150.0, 8)):
             assert np.all(np.isfinite(expected_marginal_hessian(u, ds).toarray()))
+            assert np.all(np.isfinite(marginal_hessian(u, ds).toarray()))
             assert np.all(np.isfinite(plrank.inference.batch_marginal_inverse_variance(u, ds)[0]))
             assert np.all(np.isfinite(plrank.inference.batch_qmle_inverse_variance(u, ds)[0]))
 
@@ -356,3 +365,59 @@ def test_kl_projection_population_score_zero():
         w = math.exp(pl_log_probability(u, Observation(perm)))
         acc += w * quasi_score(u, Dataset(3, [Observation(perm)]))
     assert np.max(np.abs(acc)) < 1e-14
+
+
+class TestRowBatches:
+    """Every row-batched kernel cuts its rows by one element budget
+    (``likelihood._CHUNK``); results do not depend on it, and the working set
+    of a large dataset is set by the edge size, not the row count."""
+
+    @staticmethod
+    def outputs(u, ds):
+        # a directed cycle of pairwise wins makes every fit exist
+        fittable = Dataset(ds.n, ds.observations + [Observation((i, (i + 1) % ds.n)) for i in range(ds.n)])
+        rho, cost = batch_marginal_inverse_variance(u, ds)
+        rho_q, cost_q = batch_qmle_inverse_variance(u, ds)
+        return {
+            "full SE": rho, "full cost": cost, "qmle SE": rho_q, "qmle cost": cost_q,
+            "marginal log-likelihood": marginal_log_likelihood(u, ds),
+            "quasi log-likelihood": quasi_log_likelihood(u, ds),
+            "expected Hessian": expected_marginal_hessian(u, ds).toarray(),
+            **{f"{kind} final_log_lik": fit(fittable, kind).final_log_lik for kind in ("full", "choice1", "qmle")},
+        }
+
+    @settings(max_examples=40, deadline=None)
+    @given(cutoff_datasets(max_items=8, max_m=6, max_obs=12), utilities(8))
+    def test_results_do_not_depend_on_the_budget(self, ds, u):
+        u = u[: ds.n]
+        default = self.outputs(u, ds)
+        with mock.patch.object(plrank.likelihood, "_CHUNK", 1):  # one row per batch
+            one_row = self.outputs(u, ds)
+        hessian = default.pop("expected Hessian")
+        for name, value in default.items():
+            assert np.array_equal(one_row[name], value), name
+        # the expected Hessian's BLAS products round by the batch's shape (a
+        # one-row batch goes through gemv): equal to a few ulps, not bitwise
+        np.testing.assert_allclose(one_row["expected Hessian"], hessian, rtol=1e-12, atol=0)
+
+    def test_working_set_is_set_by_the_edge_size(self):
+        n, n_e, m = 2000, 40_000, 5
+        rng = np.random.default_rng(17)
+        u = rng.normal(size=n)
+        ds = sample_rankings(u, graphs.sample_uniform_edges(range(n), m, n_e, rng), rng)
+        n_b = len(broken_pairs(ds))
+        kept = {  # bytes of the per-row arrays a kernel holds at any budget
+            batch_marginal_inverse_variance: 8 * n_e * 3 * m,  # sorted edges, shifted scores, terms
+            batch_qmle_inverse_variance: 8 * n_e * (2 * m + math.comb(m, 2)),  # sorted edges, cross terms, pair weights
+            quasi_log_likelihood: 8 * n_b * 3,  # broken pairs and their terms
+        }
+        for kernel, kept_bytes in kept.items():
+            kernel(u, ds)  # fill the per-(m, d) table caches
+            tracemalloc.start()
+            try:
+                kernel(u, ds)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            # the whole-dataset temporaries this replaces took 20-34 MB beyond the kept arrays
+            assert peak - kept_bytes < 8 * 2**20, (kernel.__name__, peak / 2**20)
