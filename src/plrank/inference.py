@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, apply_estimator_cutoff
-from .likelihood import _bradley_terry_block, _by_spread, _check_prefix_budget, _prefixes, _rescued_pair_weights, _row_chunks, _unranked_maps
+from .likelihood import _bradley_terry_block, _by_spread, _check_prefix_budget, _prefix_tables, _rescued_pair_weights, _row_chunks
 from .model import Dataset, _edge_scores, _pairs, _triples, check_utilities, grouped_rankings
 
 #: Default cap on the enumerated prefixes of any one edge in an inference call.
@@ -127,29 +127,26 @@ def batch_marginal_inverse_variance(u, dataset: Dataset, prefix_budget: int = DE
 def _prefix_info(scores: np.ndarray, depth: int) -> np.ndarray:
     """Inverse-variance terms (n_e, m) of the positions of edges with per-edge
     shifted scores (n_e, m), over depths 1..``depth``: a depth-d prefix ending
-    at k adds P(prefix) (1 - a_k/S) to k. Per depth and chunk of rows, the
-    unranked mass ``rest[t]`` of every depth-t prefix is a sum of the scores
-    it leaves unranked (:func:`plrank.likelihood._unranked_maps`), the prefix
-    probability multiplies ``a[perm[:, t]] / rest[t]`` of each ancestor, and
-    the last factor is ``rest[d] / rest[d - 1]``: nothing is subtracted. Rows
-    are batched on the P(m, d) prefixes of depth d. Only elementwise gathers,
-    adds and products: no BLAS, whose threads oversubscribe a process pool."""
+    at k adds P(prefix) (1 - a_k/S) to k. The walk is prefix-major, on
+    (prefixes, rows) arrays, and extends each depth from the one before
+    (:func:`plrank.likelihood._prefix_tables`): a prefix's unranked mass ``rest``
+    sums the m - d scores it leaves, its probability is its parent's times
+    ``a[last] / rest`` of the parent, and the last factor is ``rest / rest`` of
+    the parent: nothing is subtracted. Rows are batched on the P(m, depth)
+    deepest prefixes. Only elementwise gathers, adds, products and divides:
+    no BLAS, whose threads oversubscribe a process pool."""
     n_e, m = scores.shape
     out = np.zeros((n_e, m))
-    for d in range(1, depth + 1):
-        perms = _prefixes(m, d)
-        n_p = perms.shape[0]
-        unranked = [np.nonzero(_unranked_maps(m, t)[0])[1].reshape(-1, m - t) for t in range(d + 1)]
-        ancestor = [np.arange(n_p) // math.perm(m - t, d - t) for t in range(d)]
-        by_last = np.argsort(perms[:, -1], kind="stable")  # each position ends n_p / m prefixes
-        for rows in _row_chunks(n_e, n_p):
-            a = scores[rows]
-            rest = [functools.reduce(np.add, (np.take(a, c, axis=1) for c in cols.T)) for cols in unranked]
-            probs = rest[d] / np.take(rest[d - 1], ancestor[d - 1], axis=1)
-            for t in range(d):
-                probs *= np.take(a, perms[:, t], axis=1)
-                probs /= np.take(rest[t], ancestor[t], axis=1)
-            out[rows] += np.add.reduceat(np.take(probs, by_last, axis=1), np.arange(0, n_p, n_p // m), axis=1)
+    for rows in _row_chunks(n_e, math.perm(m, depth)):
+        a = np.ascontiguousarray(scores[rows].T)
+        prob, rest = np.ones((1, a.shape[1])), functools.reduce(np.add, a)[None]
+        for d in range(1, depth + 1):
+            tables = _prefix_tables(m, d)
+            parent_rest = np.take(rest, tables["parent"], axis=0)
+            prob = np.take(prob, tables["parent"], axis=0) * np.take(a, tables["last"], axis=0) / parent_rest
+            rest = functools.reduce(np.add, (np.take(a, c, axis=0) for c in tables["unranked"].T))
+            terms = np.take(prob * rest / parent_rest, tables["by_last"], axis=0)
+            out[rows] += np.add.reduceat(terms, np.arange(0, len(terms), len(terms) // m), axis=0).T
     return out
 
 

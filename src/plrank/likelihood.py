@@ -212,28 +212,28 @@ def quasi_hessian(u, dataset: Dataset) -> scipy.sparse.csr_matrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _prefixes(m: int, depth: int) -> np.ndarray:
-    """Ordered ``depth``-tuples of distinct local positions of an m-edge, in
-    lexicographic order (read-only; shared by every enumerating caller)."""
-    out = np.asarray(list(itertools.permutations(range(m), depth)), dtype=np.int64)
-    out.flags.writeable = False
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _unranked_maps(m: int, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """0/1 maps of the depth-``d`` prefixes of :func:`_prefixes`: the positions
-    a prefix leaves unranked (n_p, m), and the position pairs of
-    :func:`_pairs` it leaves both unranked (n_p, n_pairs). Read-only."""
-    prefixes = _prefixes(m, d)
+def _prefix_tables(m: int, d: int) -> dict[str, np.ndarray]:
+    """Read-only tables of the P(m, d) ordered ``d``-tuples of distinct local
+    positions of an m-edge (prefixes), in lexicographic order, shared by every
+    enumerating walk: ``left`` and ``both``, the 0/1 maps of the positions
+    (n_p, m) and of the :func:`_pairs` rows (n_p, n_pairs) a prefix leaves
+    unranked, and ``unranked``, those positions, ascending (n_p, m - d). For
+    d >= 1, walks that extend each depth from the one before read ``parent``,
+    a prefix's row at depth d - 1 (a parent's m - d + 1 children are
+    contiguous), ``last``, its last position, and ``by_last``, their stable
+    argsort (each position ends n_p / m prefixes)."""
+    prefixes = np.asarray(list(itertools.permutations(range(m), d)), dtype=np.int64)
     unranked = np.ones((prefixes.shape[0], m), dtype=bool)
     unranked[np.arange(prefixes.shape[0])[:, None], prefixes] = False
     pairs = _pairs(m)
-    left = unranked.astype(float)
-    both = (unranked[:, pairs[:, 0]] & unranked[:, pairs[:, 1]]).astype(float)
-    left.flags.writeable = False
-    both.flags.writeable = False
-    return left, both
+    tables = {"left": unranked.astype(float), "unranked": np.nonzero(unranked)[1].reshape(-1, m - d),
+              "both": (unranked[:, pairs[:, 0]] & unranked[:, pairs[:, 1]]).astype(float)}
+    if d:
+        last = prefixes[:, -1]
+        tables.update(parent=np.arange(len(last)) // (m - d + 1), last=last, by_last=np.argsort(last, kind="stable"))
+    for table in tables.values():
+        table.flags.writeable = False
+    return tables
 
 
 def _by_spread(u, edges: np.ndarray, fast, rescue) -> np.ndarray:
@@ -269,11 +269,10 @@ def _rescued_pair_weights(vals: np.ndarray, y: int) -> np.ndarray:
     out = np.zeros((vals.shape[0], min(y, m - 1), len(p)))
     prob = np.ones((vals.shape[0], 1))
     for d in range(min(y, m - 1)):
-        left = _unranked_maps(m, d)[0] > 0
+        tables = _prefix_tables(m, d)
         if d:
-            parent = np.arange(left.shape[0]) // (m - d + 1)
-            prob = prob[:, parent] * choice[:, parent, _prefixes(m, d)[:, -1]]
-        choice = _choice_shares(vals, left)
+            prob = prob[:, tables["parent"]] * choice[:, tables["parent"], tables["last"]]
+        choice = _choice_shares(vals, tables["left"] > 0)
         out[:, d] = np.einsum("rt,rtk->rk", prob, choice[..., p] * choice[..., q])
     return out
 
@@ -285,13 +284,13 @@ def _expected_hessian_block(u, edges: np.ndarray, y: int) -> np.ndarray:
     The weight of (p, q) is ``a_p a_q E[sum_{j <= r_p ^ r_q ^ y} 1/S_j**2]``,
     i.e. the sum over depths d < y and ordered depth-d prefixes that leave both
     p and q unranked of ``P(prefix) / S**2``, S being the unranked score sum.
-    Depth by depth, prefix probabilities extend their parents' (prefixes are
-    lexicographic, so a parent's m - d + 1 children are contiguous), S is a
-    product with the 0/1 unranked map (a sum of positive scores, no
-    cancellation), and one product with the 0/1 pair map adds the depth to
-    every edge's block. Scores are shifted by each edge's own maximum (the
-    shift cancels). Rows are batched on the last depth's prefixes or the
-    pairs, whichever are more; BLAS rounds by the batch's shape.
+    Depth by depth, prefix probabilities extend their parents'
+    (:func:`_prefix_tables`), S is a product with the 0/1 unranked map (a sum
+    of positive scores, no cancellation), and one product with the 0/1 pair
+    map adds the depth to every edge's block. Scores are shifted by each
+    edge's own maximum (the shift cancels). Rows are batched on the last
+    depth's prefixes or the pairs, whichever are more; BLAS rounds by the
+    batch's shape.
     """
     m = edges.shape[1]
     depth = min(y, m - 1)  # depth m - 1 leaves one item: no unranked pair
@@ -302,12 +301,11 @@ def _expected_hessian_block(u, edges: np.ndarray, y: int) -> np.ndarray:
         ac = a[rows]
         prob = np.ones((ac.shape[0], 1))
         for d in range(depth):
-            left, both = _unranked_maps(m, d)
+            tables = _prefix_tables(m, d)
             if d:
-                parent = np.arange(left.shape[0]) // (m - d + 1)
-                prob = prob[:, parent] * ac[:, _prefixes(m, d)[:, -1]] / rest[:, parent]
-            rest = ac @ left.T
-            out[rows] += (prob / rest**2) @ both
+                prob = prob[:, tables["parent"]] * ac[:, tables["last"]] / rest[:, tables["parent"]]
+            rest = ac @ tables["left"].T
+            out[rows] += (prob / rest**2) @ tables["both"]
     return out * a[:, pairs[:, 0]] * a[:, pairs[:, 1]]
 
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from oracles import (
 from scipy.stats import norm
 from strategies import cutoff_datasets, utilities
 
+import plrank.likelihood
 from plrank import (
     Dataset,
     FitConfig,
@@ -38,7 +40,8 @@ from plrank.inference import (
     batch_qmle_inverse_variance,
     marginal_info_term_bruteforce,
 )
-from plrank.likelihood import EnumerationBudgetError
+from plrank.likelihood import EnumerationBudgetError, _rescued_pair_weights
+from plrank.model import _pairs, grouped_rankings
 
 
 class TestInfoTerm:
@@ -183,6 +186,24 @@ class TestInverseVariances:
         got_q, _ = batch_qmle_inverse_variance(u, ds)
         assert got_q.tolist()[0] == 0.0 and np.all(got_q[1:] > 0)
         np.testing.assert_allclose(got_q, [qmle_inverse_variance(u, ds, k) for k in range(4)], rtol=1e-13, atol=0)
+
+    def test_wide_edges(self):
+        # P(8, 7) = 40,320 prefixes: a full 8-item ranking fills a row batch alone
+        rng = np.random.default_rng(80)
+        n = 12
+        u = center(rng.uniform(-10.0, 10.0, n))  # a spread of about 20, inside the fast path
+        edges = [tuple(rng.choice(n, 8, replace=False).tolist()) for _ in range(6)]
+        ds = Dataset(n, [Observation(e).with_cutoff(y) for e, y in zip(edges, (8, 8, 8, 3, 3, 3))])
+        got, cost = batch_marginal_inverse_variance(u, ds)
+        want = np.zeros(n)
+        for (m, y), (_, rankings) in grouped_rankings(ds).items():
+            weights = _rescued_pair_weights(u[rankings], y).sum(axis=1)  # the log-domain walk, per pair
+            for col in _pairs(m).T:
+                np.add.at(want, rankings[:, col], weights)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+        assert cost == 3 * sum(math.perm(8, d) for d in range(1, 8)) + 3 * sum(math.perm(8, d) for d in range(1, 4))
+        with mock.patch.object(plrank.likelihood, "_CHUNK", 1):  # one row per batch
+            assert np.array_equal(batch_marginal_inverse_variance(u, ds)[0], got)
 
     def test_monotonicity_in_data(self):
         rng = np.random.default_rng(77)
