@@ -57,6 +57,7 @@ def marginal_info_term(u, edge, y: int, k: int) -> float:
         raise ValueError(f"depth {y} outside [1, {m}]")
     if y == m:
         return 0.0
+    _check_prefix_budget({(m, y): (np.zeros(1, dtype=np.int64), None)}, _prefix_cost, DEFAULT_PREFIX_BUDGET, "inverse-variance")
     w = _rescued_pair_weights(u[list(edge)][None, :], y)[0, y - 1]
     return float(w[(_pairs(m) == edge.index(k)).any(axis=1)].sum())
 
@@ -81,15 +82,24 @@ def marginal_info_term_bruteforce(u, edge, y: int, k: int) -> float:
 
 def marginal_inverse_variance(u, dataset: Dataset, k: int) -> float:
     """Inverse asymptotic variance of the marginal-family estimate of item k:
-    sum of :func:`marginal_info_term` over containing edges and depths up to
-    each observation's cutoff."""
-    u = check_utilities(u, dataset.n)
-    out = 0.0
-    for obs in dataset.observations:
-        if k in obs.ranking:
-            for y in range(1, min(obs.cutoff, obs.m - 1) + 1):
-                out += marginal_info_term(u, obs.edge, y, k)
-    return out
+    entry k of :func:`batch_marginal_inverse_variance` on the observations
+    that contain k, whose edges alone meet the prefix budget."""
+    return float(batch_marginal_inverse_variance(u, _item_dataset(dataset, k, _prefix_cost))[0][k])
+
+
+def _item_dataset(dataset: Dataset, k: int, cost=None) -> Dataset:
+    """The stored rows that contain item k, numbered group by group: groups and
+    rows keep their order, so a batch kernel adds k's terms in the whole
+    dataset's order. With ``cost``, the default prefix budget is checked on
+    these rows under their own observation indices."""
+    if not 0 <= k < dataset.n:
+        raise ValueError(f"item {k} outside [0, {dataset.n})")
+    blocks = {key: (idx[has_k], rankings[has_k]) for key, (idx, rankings) in grouped_rankings(dataset).items()
+              for has_k in [(rankings == k).any(axis=1)]}
+    if cost is not None:
+        _check_prefix_budget(blocks, cost, DEFAULT_PREFIX_BUDGET, "inverse-variance")
+    starts = itertools.accumulate((len(idx) for idx, _ in blocks.values()), initial=0)
+    return Dataset.from_blocks(dataset.n, {key: (np.arange(lo, lo + len(r)), r) for (key, (_, r)), lo in zip(blocks.items(), starts)})
 
 
 def _prefix_cost(m: int, cutoff: int) -> int:
@@ -150,66 +160,52 @@ def _prefix_info(scores: np.ndarray, depth: int) -> np.ndarray:
     return out
 
 
+def _edge_moments(u, edge, k: int) -> tuple[float, float]:
+    """Item k's entries of :func:`_qmle_moments` on the one observation ``edge``."""
+    u, edge = check_utilities(u), tuple(edge)
+    if k not in edge:
+        raise ValueError(f"item {k} not in edge {edge}")
+    m = len(edge)
+    info, var, _ = _qmle_moments(u[list(edge)], Dataset.from_blocks(m, {(m, m): ([0], np.arange(m)[None])}))
+    return float(info[edge.index(k)]), float(var[edge.index(k)])
+
+
 def pairwise_info_term(u, edge, k: int) -> float:
     """Pairwise Bradley-Terry information of item k within one edge:
     sum over the other items j of e^{u_k+u_j} / (e^{u_k}+e^{u_j})^2."""
-    u = check_utilities(u)
-    edge = tuple(edge)
-    if k not in edge:
-        raise ValueError(f"item {k} not in edge {edge}")
-    out = 0.0
-    for j in edge:
-        if j != k:
-            q = math.exp(-abs(u[j] - u[k]))  # p (1 - p) = q / (1 + q)**2 for p = 1 / (1 + e^{u_j - u_k})
-            out += q / (1.0 + q) ** 2
-    return out
+    return _edge_moments(u, edge, k)[0]
 
 
 def pairwise_var_term(u, edge, k: int) -> float:
     """Variance of item k's pairwise score within one edge: the pairwise
     information plus cross terms over item pairs {j, t} capturing the
     dependence of broken pairs from the same ranking."""
-    u = check_utilities(u)
-    edge = tuple(edge)
-    if k not in edge:
-        raise ValueError(f"item {k} not in edge {edge}")
-    others = [j for j in edge if j != k]
-
-    def share(*items):  # probability that items[0] is chosen first, scores shifted by the items' maximum
-        top = max(u[i] for i in items)
-        return math.exp(u[items[0]] - top) / sum(math.exp(u[i] - top) for i in items)
-
-    out = pairwise_info_term(u, edge, k)
-    for j, t in itertools.combinations(others, 2):
-        out += 2.0 * share(k, j, t) * share(j, k) * share(t, k)  # a_k a_j a_t / ((a_k+a_j+a_t)(a_k+a_j)(a_k+a_t))
-    return out
+    return _edge_moments(u, edge, k)[1]
 
 
 def qmle_inverse_variance(u, dataset: Dataset, k: int) -> float:
-    """Sandwich inverse variance of the QMLE for item k:
-    (sum of pairwise info)^2 / (sum of pairwise score variances)."""
-    u = check_utilities(u, dataset.n)
-    info = 0.0
-    var = 0.0
-    for obs in dataset.observations:
-        if k in obs.ranking:
-            info += pairwise_info_term(u, obs.edge, k)
-            var += pairwise_var_term(u, obs.edge, k)
-    if var == 0.0:
-        return 0.0
-    return info * (info / var)  # info**2 underflows where info is below 1e-154
+    """Sandwich inverse variance of the QMLE for item k,
+    (sum of pairwise info)^2 / (sum of pairwise score variances): entry k of
+    :func:`batch_qmle_inverse_variance` on the observations that contain k."""
+    return float(batch_qmle_inverse_variance(u, _item_dataset(dataset, k))[0][k])
 
 
 def batch_qmle_inverse_variance(u, dataset: Dataset):
-    """All items at once: (inverse-variance vector, evaluated-term count).
+    """All items at once: (inverse-variance vector, evaluated-term count), the
+    sandwich info * (info / var) of :func:`_qmle_moments` (info**2 underflows)."""
+    u = check_utilities(u, dataset.n)
+    info, var, cost = _qmle_moments(u, dataset)
+    return info * np.divide(info, var, out=np.zeros(dataset.n), where=var > 0), cost
 
-    The information adds the Bradley-Terry weight of each edge's
+
+def _qmle_moments(u, dataset: Dataset):
+    """Per-item pairwise information, score variance and evaluated-term count:
+    the information adds the Bradley-Terry weight of each edge's
     :func:`plrank.model._pairs` rows to both items; the score variance adds,
     besides, the cross term of each :func:`plrank.model._triples` row to its
     centre (:func:`_cross_terms`), at any utility spread, both in row batches
     of m**2 elements per edge. An edge costs two terms per pair and one per
     triple."""
-    u = check_utilities(u, dataset.n)
     info, var = np.zeros((2, dataset.n))
     cost = 0
     for (m, _), (_, rankings) in grouped_rankings(dataset).items():
@@ -223,8 +219,7 @@ def batch_qmle_inverse_variance(u, dataset: Dataset):
             info += np.bincount(np.take(edges, col, axis=1).ravel(), w.ravel(), minlength=dataset.n)
         var += np.bincount(edges.T.ravel(), cross.ravel(), minlength=dataset.n)
         cost += edges.shape[0] * (2 * len(pairs) + len(triples))
-    var += info
-    return info * np.divide(info, var, out=np.zeros(dataset.n), where=var > 0), cost
+    return info, var + info, cost
 
 
 def _cross_terms(v: np.ndarray) -> np.ndarray:

@@ -169,8 +169,11 @@ def _rescued_observed_block(vals: np.ndarray, y: int) -> np.ndarray:
     a_t/S_j, t >= j (:func:`_choice_shares`), summed over the stages."""
     m = vals.shape[1]
     p, q = _pairs(m).T
-    share = _choice_shares(vals, np.arange(m) >= np.arange(y)[:, None])
-    return np.sum(share[:, :, p] * share[:, :, q], axis=1)
+    out = np.empty((vals.shape[0], len(p)))
+    for rows in _row_chunks(vals.shape[0], y * len(p)):
+        share = _choice_shares(vals[rows], np.arange(m) >= np.arange(y)[:, None])
+        out[rows] = np.sum(share[:, :, p] * share[:, :, q], axis=1)
+    return out
 
 
 def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> scipy.sparse.csr_matrix:
@@ -264,16 +267,17 @@ def _rescued_pair_weights(vals: np.ndarray, y: int) -> np.ndarray:
     A prefix adds ``P(prefix) (a_p/S) (a_q/S)`` to the pair (p, q), one slice
     (n_r, depth, n_pairs) per depth; row sums are the positions' marginal
     inverse variances."""
-    m = vals.shape[1]
+    m, depth = vals.shape[1], min(y, vals.shape[1] - 1)
     p, q = _pairs(m).T
-    out = np.zeros((vals.shape[0], min(y, m - 1), len(p)))
-    prob = np.ones((vals.shape[0], 1))
-    for d in range(min(y, m - 1)):
-        tables = _prefix_tables(m, d)
-        if d:
-            prob = prob[:, tables["parent"]] * choice[:, tables["parent"], tables["last"]]
-        choice = _choice_shares(vals, tables["left"] > 0)
-        out[:, d] = np.einsum("rt,rtk->rk", prob, choice[..., p] * choice[..., q])
+    out = np.zeros((vals.shape[0], depth, len(p)))
+    for rows in _row_chunks(vals.shape[0], math.perm(m, depth - 1) * len(p)):
+        prob = np.ones((out[rows].shape[0], 1))
+        for d in range(depth):
+            tables = _prefix_tables(m, d)
+            if d:
+                prob = prob[:, tables["parent"]] * choice[:, tables["parent"], tables["last"]]
+            choice = _choice_shares(vals[rows], tables["left"] > 0)
+            out[rows, d] = np.einsum("rt,rtk->rk", prob, choice[..., p] * choice[..., q])
     return out
 
 

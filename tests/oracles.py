@@ -16,7 +16,16 @@ from pathlib import Path
 
 import numpy as np
 
-from plrank import DataFormatError, Dataset, Observation, apply_estimator_cutoff, marginal_hessian, quasi_hessian
+from plrank import (
+    DataFormatError,
+    Dataset,
+    Observation,
+    apply_estimator_cutoff,
+    check_utilities,
+    marginal_hessian,
+    marginal_info_term,
+    quasi_hessian,
+)
 from plrank.harness import IngestResult
 from plrank.model import _redraw, grouped_rankings, sidecar_path
 
@@ -92,6 +101,70 @@ def hessian_to_coo_csv(h, path) -> None:
         f.write("row,col,value\n")
         for r, c, v in zip(coo.row, coo.col, coo.data):
             f.write(f"{int(r)},{int(c)},{float(v)!r}\n")
+
+
+def marginal_inverse_variance_loop(u, dataset: Dataset, k: int) -> float:
+    """Inverse asymptotic variance of the marginal-family estimate of item k:
+    sum of :func:`plrank.marginal_info_term` (the log-domain walk, which
+    shares no code with the batch kernel's fast path) over containing edges
+    and depths up to each observation's cutoff."""
+    u = check_utilities(u, dataset.n)
+    out = 0.0
+    for obs in dataset.observations:
+        if k in obs.ranking:
+            for y in range(1, min(obs.cutoff, obs.m - 1) + 1):
+                out += marginal_info_term(u, obs.edge, y, k)
+    return out
+
+
+def pairwise_info_term_loop(u, edge, k: int) -> float:
+    """Pairwise Bradley-Terry information of item k within one edge:
+    sum over the other items j of e^{u_k+u_j} / (e^{u_k}+e^{u_j})^2."""
+    u = check_utilities(u)
+    edge = tuple(edge)
+    if k not in edge:
+        raise ValueError(f"item {k} not in edge {edge}")
+    out = 0.0
+    for j in edge:
+        if j != k:
+            q = math.exp(-abs(u[j] - u[k]))  # p (1 - p) = q / (1 + q)**2 for p = 1 / (1 + e^{u_j - u_k})
+            out += q / (1.0 + q) ** 2
+    return out
+
+
+def pairwise_var_term_loop(u, edge, k: int) -> float:
+    """Variance of item k's pairwise score within one edge: the pairwise
+    information plus cross terms over item pairs {j, t} capturing the
+    dependence of broken pairs from the same ranking."""
+    u = check_utilities(u)
+    edge = tuple(edge)
+    if k not in edge:
+        raise ValueError(f"item {k} not in edge {edge}")
+    others = [j for j in edge if j != k]
+
+    def share(*items):  # probability that items[0] is chosen first, scores shifted by the items' maximum
+        top = max(u[i] for i in items)
+        return math.exp(u[items[0]] - top) / sum(math.exp(u[i] - top) for i in items)
+
+    out = pairwise_info_term_loop(u, edge, k)
+    for j, t in itertools.combinations(others, 2):
+        out += 2.0 * share(k, j, t) * share(j, k) * share(t, k)  # a_k a_j a_t / ((a_k+a_j+a_t)(a_k+a_j)(a_k+a_t))
+    return out
+
+
+def qmle_inverse_variance_loop(u, dataset: Dataset, k: int) -> float:
+    """Sandwich inverse variance of the QMLE for item k:
+    (sum of pairwise info)^2 / (sum of pairwise score variances)."""
+    u = check_utilities(u, dataset.n)
+    info = 0.0
+    var = 0.0
+    for obs in dataset.observations:
+        if k in obs.ranking:
+            info += pairwise_info_term_loop(u, obs.edge, k)
+            var += pairwise_var_term_loop(u, obs.edge, k)
+    if var == 0.0:
+        return 0.0
+    return info * (info / var)  # info**2 underflows where info is below 1e-154
 
 
 def _exact_scores(mpmath, u, edge):

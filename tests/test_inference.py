@@ -9,6 +9,10 @@ from oracles import (
     exact_marginal_hessian,
     exact_marginal_inverse_variance,
     exact_qmle_inverse_variance,
+    marginal_inverse_variance_loop,
+    pairwise_info_term_loop,
+    pairwise_var_term_loop,
+    qmle_inverse_variance_loop,
 )
 from scipy.stats import norm
 from strategies import cutoff_datasets, utilities
@@ -36,6 +40,7 @@ from plrank import (
     z_for_level,
 )
 from plrank.inference import (
+    _qmle_moments,
     batch_marginal_inverse_variance,
     batch_qmle_inverse_variance,
     marginal_info_term_bruteforce,
@@ -146,11 +151,12 @@ class TestInverseVariances:
             assert r1 == pytest.approx(direct, abs=1e-12)
 
     def test_batch_matches_per_item(self, mixed_cutoff_dataset):
+        # the per-item names are views of the batch kernels: compare with the loop oracles
         _, ds = mixed_cutoff_dataset
         rng = np.random.default_rng(76)
         u = center(rng.uniform(-0.8, 0.8, ds.n))
         got, cost = batch_marginal_inverse_variance(u, ds)
-        want = np.array([marginal_inverse_variance(u, ds, k) for k in range(ds.n)])
+        want = np.array([marginal_inverse_variance_loop(u, ds, k) for k in range(ds.n)])
         assert np.max(np.abs(got - want)) < 1e-12
         assert cost == sum(
             sum(math.factorial(o.m) // math.factorial(o.m - d) for d in range(1, min(o.cutoff, o.m - 1) + 1))
@@ -158,7 +164,7 @@ class TestInverseVariances:
         )
         full = ds.with_cutoff("full")
         got_q, _ = batch_qmle_inverse_variance(u, full)
-        want_q = np.array([qmle_inverse_variance(u, full, k) for k in range(ds.n)])
+        want_q = np.array([qmle_inverse_variance_loop(u, full, k) for k in range(ds.n)])
         assert np.max(np.abs(got_q - want_q)) < 1e-12
 
     @settings(max_examples=100, deadline=None)
@@ -166,12 +172,15 @@ class TestInverseVariances:
     def test_batch_matches_per_item_property(self, ds, u):
         u = u[: ds.n]
         got, _ = batch_marginal_inverse_variance(u, ds)
-        want = [marginal_inverse_variance(u, ds, k) for k in range(ds.n)]
+        want = [marginal_inverse_variance_loop(u, ds, k) for k in range(ds.n)]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-300)
         got_q, cost = batch_qmle_inverse_variance(u, ds)
-        want_q = [qmle_inverse_variance(u, ds, k) for k in range(ds.n)]
+        want_q = [qmle_inverse_variance_loop(u, ds, k) for k in range(ds.n)]
         np.testing.assert_allclose(got_q, want_q, rtol=1e-13, atol=1e-300)
         assert cost == sum(o.m * (o.m - 1) + o.m * (o.m - 1) * (o.m - 2) // 2 for o in ds.observations)
+        edge = ds.edges[0]
+        for name, view, loop in [("info", pairwise_info_term, pairwise_info_term_loop), ("var", pairwise_var_term, pairwise_var_term_loop)]:
+            np.testing.assert_allclose([view(u, edge, k) for k in edge], [loop(u, edge, k) for k in edge], rtol=1e-13, atol=0, err_msg=name)
 
     def test_edges_far_below_the_largest_utility(self):
         # item 0 sits 800 above the rest: exp(u - max u) underflows on the
@@ -181,11 +190,47 @@ class TestInverseVariances:
         got, _ = batch_marginal_inverse_variance(u, ds)
         assert got.tolist()[0] == 0.0 and np.all(np.isfinite(got))
         assert got[1:] == pytest.approx([0.554, 0.461, 0.326], abs=5e-4)
-        np.testing.assert_allclose(got, [marginal_inverse_variance(u, ds, k) for k in range(4)], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, [marginal_inverse_variance_loop(u, ds, k) for k in range(4)], rtol=1e-13, atol=0)
         assert pairwise_info_term(u, (0, 1), 0) == 0.0
         got_q, _ = batch_qmle_inverse_variance(u, ds)
         assert got_q.tolist()[0] == 0.0 and np.all(got_q[1:] > 0)
-        np.testing.assert_allclose(got_q, [qmle_inverse_variance(u, ds, k) for k in range(4)], rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got_q, [qmle_inverse_variance_loop(u, ds, k) for k in range(4)], rtol=1e-13, atol=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(cutoff_datasets(max_obs=12), utilities(8))
+    def test_per_item_views_are_batch_entries(self, ds, u):
+        # each view runs the batch kernel on k's observations alone, adding
+        # k's terms in the same order, so the entries are bitwise the same
+        u = u[: ds.n]
+        got, got_q = batch_marginal_inverse_variance(u, ds)[0], batch_qmle_inverse_variance(u, ds)[0]
+        assert np.array_equal([marginal_inverse_variance(u, ds, k) for k in range(ds.n)], got)
+        assert np.array_equal([qmle_inverse_variance(u, ds, k) for k in range(ds.n)], got_q)
+        edge = ds.edges[0]
+        info, var, _ = _qmle_moments(u, Dataset(ds.n, [Observation(edge)]))
+        assert [pairwise_info_term(u, edge, k) for k in edge] == info[list(edge)].tolist()
+        assert [pairwise_var_term(u, edge, k) for k in edge] == var[list(edge)].tolist()
+
+    @pytest.mark.parametrize("view", [marginal_inverse_variance, qmle_inverse_variance])
+    @pytest.mark.parametrize("k", [-1, 3])
+    def test_item_outside_the_dataset(self, view, k):
+        ds = Dataset(3, [Observation((0, 1, 2))])
+        with pytest.raises(ValueError, match=f"item {k} outside"):
+            view(np.zeros(3), ds, k)
+
+    def test_wide_edge_budget(self):
+        # P(11, 9) is about 2e7 prefixes: raise before anything is enumerated
+        u = np.zeros(12)
+        with pytest.raises(EnumerationBudgetError):
+            marginal_info_term(u, tuple(range(11)), 10, 0)
+        assert marginal_info_term(u, tuple(range(11)), 11, 0) == 0.0
+        # the view checks only the edges that hold k, and names them by their own index
+        small = [Observation((11, 0)), Observation((1, 11, 2))]
+        ds = Dataset(12, small[:1] + [Observation(tuple(range(11)))] + small[1:])
+        with pytest.raises(EnumerationBudgetError) as err:
+            marginal_inverse_variance(u, ds, 0)
+        assert err.value.per_edge == {1: sum(math.perm(11, d) for d in range(1, 11))}
+        assert marginal_inverse_variance(u, ds, 11) == batch_marginal_inverse_variance(u, Dataset(12, small))[0][11]
+        assert qmle_inverse_variance(u, ds, 0) > 0
 
     def test_wide_edges(self):
         # P(8, 7) = 40,320 prefixes: a full 8-item ranking fills a row batch alone

@@ -400,18 +400,49 @@ class TestRowBatches:
         # one-row batch goes through gemv): equal to a few ulps, not bitwise
         np.testing.assert_allclose(one_row["expected Hessian"], hessian, rtol=1e-12, atol=0)
 
+    @staticmethod
+    def far_spread(n_e, n=50, m=6, seed=18):
+        """``n_e`` full m-item edges that each hold item 0, which sits 400 above
+        the rest: every row takes the log-domain rescue walks."""
+        rng = np.random.default_rng(seed)
+        u = rng.normal(size=n)
+        u[0] += 400.0
+        edges = np.column_stack([np.zeros(n_e, dtype=np.int64), 1 + np.argsort(rng.random((n_e, n - 1)), axis=1)[:, : m - 1]])
+        return u, Dataset.from_blocks(n, {(m, m): (np.arange(n_e), edges)})
+
+    def test_rescued_rows_do_not_depend_on_the_budget(self):
+        u, ds = self.far_spread(40)
+        kernels = {
+            "full SE": lambda: batch_marginal_inverse_variance(u, ds)[0],
+            "expected Hessian": lambda: expected_marginal_hessian(u, ds).toarray(),
+            "Hessian": lambda: marginal_hessian(u, ds).toarray(),
+        }
+        default = {name: kernel() for name, kernel in kernels.items()}
+        with mock.patch.object(plrank.likelihood, "_CHUNK", 1):  # one row per batch
+            one_row = {name: kernel() for name, kernel in kernels.items()}
+        assert np.array_equal(one_row.pop("Hessian"), default.pop("Hessian"))  # an elementwise walk
+        for name, value in default.items():
+            # the pair-weight walk's einsum rounds by the batch's shape (a few 1e-16 relative at one row per batch)
+            np.testing.assert_allclose(one_row[name], value, rtol=1e-15, atol=0, err_msg=name)
+
     def test_working_set_is_set_by_the_edge_size(self):
         n, n_e, m = 2000, 40_000, 5
         rng = np.random.default_rng(17)
         u = rng.normal(size=n)
         ds = sample_rankings(u, graphs.sample_uniform_edges(range(n), m, n_e, rng), rng)
         n_b = len(broken_pairs(ds))
-        kept = {  # bytes of the per-row arrays a kernel holds at any budget
-            batch_marginal_inverse_variance: 8 * n_e * 3 * m,  # sorted edges, shifted scores, terms
-            batch_qmle_inverse_variance: 8 * n_e * (2 * m + math.comb(m, 2)),  # sorted edges, cross terms, pair weights
-            quasi_log_likelihood: 8 * n_b * 3,  # broken pairs and their terms
-        }
-        for kernel, kept_bytes in kept.items():
+        u_far, ds_far = self.far_spread(4000)
+        n_f, m_f, pairs = len(ds_far), 6, math.comb(6, 2)
+        kept = [  # bytes of the per-row arrays a kernel holds at any budget
+            (u, ds, batch_marginal_inverse_variance, 8 * n_e * 3 * m),  # sorted edges, shifted scores, terms
+            (u, ds, batch_qmle_inverse_variance, 8 * n_e * (2 * m + math.comb(m, 2))),  # sorted edges, cross terms, pair weights
+            (u, ds, quasi_log_likelihood, 8 * n_b * 3),  # broken pairs and their terms
+            # sorted edges, utilities (all and far), terms, positions; the rescued per-depth pair weights
+            (u_far, ds_far, batch_marginal_inverse_variance, 8 * n_f * (5 * m_f + (m_f - 1) * pairs)),
+            # utilities (all and far); pair items, observations and weights, the per-depth pair weights and their sums
+            (u_far, ds_far, expected_marginal_hessian, 8 * n_f * (2 * m_f + (4 + m_f - 1) * pairs)),
+        ]
+        for u, ds, kernel, kept_bytes in kept:
             kernel(u, ds)  # fill the per-(m, d) table caches
             tracemalloc.start()
             try:
@@ -419,5 +450,6 @@ class TestRowBatches:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            # the whole-dataset temporaries this replaces took 20-34 MB beyond the kept arrays
-            assert peak - kept_bytes < 8 * 2**20, (kernel.__name__, peak / 2**20)
+            # the whole-dataset temporaries this replaces took 20-34 MB beyond
+            # the kept arrays on the five-way edges, and 600 MB on the rescued ones
+            assert peak - kept_bytes < 8 * 2**20, (kernel.__name__, len(ds), peak / 2**20)
