@@ -10,7 +10,6 @@ is an error so callers can switch estimator instead of silently degrading.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import statistics
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import FitResult, apply_estimator_cutoff
-from .likelihood import _bradley_terry_block, _by_spread, _check_prefix_budget, _prefix_tables, _rescued_pair_weights, _row_chunks
-from .model import Dataset, _edge_scores, _pairs, _triples, check_utilities, grouped_rankings
+from .likelihood import _bradley_terry_block, _by_spread, _check_prefix_budget, _prefix_walk, _row_chunks
+from .model import Dataset, Observation, _pairs, _triples, check_utilities, grouped_rankings
 
 #: Default cap on the enumerated prefixes of any one edge in an inference call.
 DEFAULT_PREFIX_BUDGET = 10**7
@@ -41,30 +40,36 @@ def z_for_level(level: float) -> float:
     return normal_quantile((1.0 + level) / 2.0)
 
 
+def _edge_utilities(u, edge, k: int) -> tuple[np.ndarray, int]:
+    """One edge's utilities and k's position in it. The edge is checked as an
+    :class:`plrank.model.Observation`'s ranking is, and against ``u``."""
+    u, edge = check_utilities(u), Observation(tuple(edge)).ranking
+    if max(edge) >= u.shape[0]:
+        raise ValueError(f"item {max(edge)} outside [0, {u.shape[0]})")
+    if k not in edge:
+        raise ValueError(f"item {k} not in edge {edge}")
+    return u[list(edge)], edge.index(k)
+
+
 def marginal_info_term(u, edge, y: int, k: int) -> float:
     """Information contribution of one edge for item ``k`` at observed depth ``y``:
     the probability of each ordered (y-1)-prefix followed by k, times one minus
     the probability that k is first among the items left. Zero when y = m.
-    It is k's row sum of the depth-(y-1) pair weights of
-    :func:`plrank.likelihood._rescued_pair_weights`, a log-domain walk whose
-    stage sums, and 1 - p_k, are sums of the scores left."""
-    u = check_utilities(u)
-    edge = tuple(edge)
-    if k not in edge:
-        raise ValueError(f"item {k} not in edge {edge}")
-    m = len(edge)
+    It sums the depth-y prefixes of the far branch of :func:`plrank.likelihood._prefix_walk`."""
+    vals, pos = _edge_utilities(u, edge, k)
+    m = len(vals)
     if not 1 <= y <= m:
         raise ValueError(f"depth {y} outside [1, {m}]")
     if y == m:
         return 0.0
     _check_prefix_budget({(m, y): (np.zeros(1, dtype=np.int64), None)}, _prefix_cost, DEFAULT_PREFIX_BUDGET, "inverse-variance")
-    w = _rescued_pair_weights(u[list(edge)][None, :], y)[0, y - 1]
-    return float(w[(_pairs(m) == edge.index(k)).any(axis=1)].sum())
+    *_, (tables, prob, rest, parent_rest) = _prefix_walk(vals[:, None], y, far=True)
+    return float(np.sum((prob * rest / parent_rest)[tables["last"] == pos]))
 
 
 def marginal_info_term_bruteforce(u, edge, y: int, k: int) -> float:
     """Oracle: full m! permutation sum of 1{r(k)=y} x (1 - P(k first | rest))."""
-    from .model import Observation, pl_log_probability
+    from .model import pl_log_probability
 
     u = check_utilities(u)
     edge = tuple(edge)
@@ -114,9 +119,9 @@ def batch_marginal_inverse_variance(u, dataset: Dataset, prefix_budget: int = DE
     k (:func:`_prefix_info`). Raises :class:`EnumerationBudgetError` (with
     per-edge counts) if some edge needs more than ``prefix_budget`` prefixes;
     the dataset's total is not capped, and rows are batched by the per-edge
-    prefix count (:func:`plrank.likelihood._row_chunks`). Edges
-    whose utilities spread by more than :data:`plrank.likelihood._RESCUE_SPREAD`
-    take the row sums of :func:`plrank.likelihood._rescued_pair_weights`.
+    prefix count (:func:`plrank.likelihood._row_chunks`). Edges whose utilities
+    spread by more than :data:`plrank.likelihood._RESCUE_SPREAD` take the same
+    walk with every stage on its own scale.
     """
     u = check_utilities(u, dataset.n)
     groups = grouped_rankings(dataset)
@@ -127,34 +132,23 @@ def batch_marginal_inverse_variance(u, dataset: Dataset, prefix_budget: int = DE
     for (m, cutoff), (_, rankings) in groups.items():
         edges = np.sort(rankings, axis=1)
         total_cost += edges.shape[0] * _prefix_cost(m, cutoff)
-        depth, (p, q) = min(cutoff, m - 1), _pairs(m).T
-        by_pos = _by_spread(u, edges, lambda e: _prefix_info(_edge_scores(u, e), depth), lambda v: np.einsum(
-            "rdk,km->rm", _rescued_pair_weights(v, depth), np.eye(m)[p] + np.eye(m)[q]))  # pair weights to positions
+        depth = min(cutoff, m - 1)
+        by_pos = _by_spread(u, edges, lambda v, far=False: _prefix_info(v, depth, far))
         rho2 += np.bincount(edges.ravel(), by_pos.ravel(), minlength=dataset.n)
     return rho2, total_cost
 
 
-def _prefix_info(scores: np.ndarray, depth: int) -> np.ndarray:
-    """Inverse-variance terms (n_e, m) of the positions of edges with per-edge
-    shifted scores (n_e, m), over depths 1..``depth``: a depth-d prefix ending
-    at k adds P(prefix) (1 - a_k/S) to k. The walk is prefix-major, on
-    (prefixes, rows) arrays, and extends each depth from the one before
-    (:func:`plrank.likelihood._prefix_tables`): a prefix's unranked mass ``rest``
-    sums the m - d scores it leaves, its probability is its parent's times
-    ``a[last] / rest`` of the parent, and the last factor is ``rest / rest`` of
-    the parent: nothing is subtracted. Rows are batched on the P(m, depth)
-    deepest prefixes. Only elementwise gathers, adds, products and divides:
-    no BLAS, whose threads oversubscribe a process pool."""
-    n_e, m = scores.shape
+def _prefix_info(v: np.ndarray, depth: int, far: bool = False) -> np.ndarray:
+    """Inverse-variance terms (n_e, m) of the positions of the
+    :func:`plrank.likelihood._prefix_walk` rows ``v`` (n_e, m) over depths
+    1..``depth``: a depth-d prefix ending at k adds P(prefix) (1 - a_k/S) to k,
+    the last factor taken as ``rest / parent_rest``, reduced by last position.
+    Rows are batched on the P(m, depth) deepest prefixes."""
+    n_e, m = v.shape
     out = np.zeros((n_e, m))
     for rows in _row_chunks(n_e, math.perm(m, depth)):
-        a = np.ascontiguousarray(scores[rows].T)
-        prob, rest = np.ones((1, a.shape[1])), functools.reduce(np.add, a)[None]
-        for d in range(1, depth + 1):
-            tables = _prefix_tables(m, d)
-            parent_rest = np.take(rest, tables["parent"], axis=0)
-            prob = np.take(prob, tables["parent"], axis=0) * np.take(a, tables["last"], axis=0) / parent_rest
-            rest = functools.reduce(np.add, (np.take(a, c, axis=0) for c in tables["unranked"].T))
+        walk = _prefix_walk(np.ascontiguousarray(v[rows].T), depth, far)
+        for tables, prob, rest, parent_rest in itertools.islice(walk, 1, None):  # depths 1..depth
             terms = np.take(prob * rest / parent_rest, tables["by_last"], axis=0)
             out[rows] += np.add.reduceat(terms, np.arange(0, len(terms), len(terms) // m), axis=0).T
     return out
@@ -162,12 +156,10 @@ def _prefix_info(scores: np.ndarray, depth: int) -> np.ndarray:
 
 def _edge_moments(u, edge, k: int) -> tuple[float, float]:
     """Item k's entries of :func:`_qmle_moments` on the one observation ``edge``."""
-    u, edge = check_utilities(u), tuple(edge)
-    if k not in edge:
-        raise ValueError(f"item {k} not in edge {edge}")
-    m = len(edge)
-    info, var, _ = _qmle_moments(u[list(edge)], Dataset.from_blocks(m, {(m, m): ([0], np.arange(m)[None])}))
-    return float(info[edge.index(k)]), float(var[edge.index(k)])
+    vals, pos = _edge_utilities(u, edge, k)
+    m = len(vals)
+    info, var, _ = _qmle_moments(vals, Dataset.from_blocks(m, {(m, m): ([0], np.arange(m)[None])}))
+    return float(info[pos]), float(var[pos])
 
 
 def pairwise_info_term(u, edge, k: int) -> float:

@@ -15,14 +15,13 @@ Scores and the fit's stage sums exponentiate ``u - max(u)`` with one global
 shift, so an observation whose items all sit more than about 745 below the
 largest utility underflows to a zero score sum; Hessian blocks shift each
 edge by its own maximum instead, and an edge whose utilities spread by more
-than :data:`_RESCUE_SPREAD` goes through a log-domain form
-(:func:`_rescued_pair_weights`, :func:`_rescued_observed_block`).
+than :data:`_RESCUE_SPREAD` shifts every stage by its own maximum
+(:func:`_by_spread`).
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -151,27 +150,28 @@ def quasi_score(u, dataset: Dataset) -> np.ndarray:
     return _marginal_pass(u, _pair_block(dataset))[0]
 
 
-def _observed_hessian_block(u, rankings: np.ndarray, y: int) -> np.ndarray:
-    """Minus-Hessian pair weights of same-size rankings (n_g, m) at cutoff
-    ``y``, one column per position pair (p, q), p < q, of :func:`_pairs`:
-    ``a_p a_q sum_{j <= min(p, y-1)} 1/S_j**2``, with scores shifted by each
-    row's own maximum (the shift cancels)."""
-    a = _edge_scores(u, rankings)
+def _observed_hessian_block(a: np.ndarray, y: int) -> np.ndarray:
+    """Minus-Hessian pair weights of same-size rankings at cutoff ``y``, from
+    their scores ``a`` (n_g, m) shifted by each row's own maximum (the shift
+    cancels), one column per position pair (p, q), p < q, of :func:`_pairs`:
+    ``a_p a_q sum_{j <= min(p, y-1)} 1/S_j**2``."""
     s = np.cumsum(a[:, ::-1], axis=1)[:, ::-1][:, :y]
     c2 = np.cumsum(1.0 / s**2, axis=1)
-    p, q = _pairs(rankings.shape[1]).T
+    p, q = _pairs(a.shape[1]).T
     return a[:, p] * a[:, q] * c2[:, np.minimum(p, y - 1)]
 
 
 def _rescued_observed_block(vals: np.ndarray, y: int) -> np.ndarray:
     """:func:`_observed_hessian_block` of rankings with utilities ``vals``
     (n_r, m) at any spread: the products of stage j's choice probabilities
-    a_t/S_j, t >= j (:func:`_choice_shares`), summed over the stages."""
+    a_t/S_j, t >= j, each stage shifted by its own maximum, summed over stages."""
     m = vals.shape[1]
     p, q = _pairs(m).T
     out = np.empty((vals.shape[0], len(p)))
     for rows in _row_chunks(vals.shape[0], y * len(p)):
-        share = _choice_shares(vals[rows], np.arange(m) >= np.arange(y)[:, None])
+        v = np.where(np.arange(m) >= np.arange(y)[:, None], vals[rows, None, :], -np.inf)
+        share = np.exp(v - v.max(axis=2, keepdims=True))
+        share /= share.sum(axis=2, keepdims=True)
         out[rows] = np.sum(share[:, :, p] * share[:, :, q], axis=1)
     return out
 
@@ -189,7 +189,7 @@ def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> scip
 
 def _hessian(u, groups, n: int) -> scipy.sparse.csr_matrix:
     i, j, w, _ = _pair_weights(u, groups, lambda u, rankings, y: _by_spread(
-        u, rankings, lambda r: _observed_hessian_block(u, r, y), lambda v: _rescued_observed_block(v, y)))
+        u, rankings, lambda v, far=False: _rescued_observed_block(v, y) if far else _observed_hessian_block(v, y)))
     return _sparse_hessian(n, i, j, w)
 
 
@@ -216,101 +216,108 @@ def quasi_hessian(u, dataset: Dataset) -> scipy.sparse.csr_matrix:
 
 @functools.lru_cache(maxsize=None)
 def _prefix_tables(m: int, d: int) -> dict[str, np.ndarray]:
-    """Read-only tables of the P(m, d) ordered ``d``-tuples of distinct local
-    positions of an m-edge (prefixes), in lexicographic order, shared by every
-    enumerating walk: ``left`` and ``both``, the 0/1 maps of the positions
-    (n_p, m) and of the :func:`_pairs` rows (n_p, n_pairs) a prefix leaves
-    unranked, and ``unranked``, those positions, ascending (n_p, m - d). For
-    d >= 1, walks that extend each depth from the one before read ``parent``,
-    a prefix's row at depth d - 1 (a parent's m - d + 1 children are
-    contiguous), ``last``, its last position, and ``by_last``, their stable
-    argsort (each position ends n_p / m prefixes)."""
-    prefixes = np.asarray(list(itertools.permutations(range(m), d)), dtype=np.int64)
-    unranked = np.ones((prefixes.shape[0], m), dtype=bool)
-    unranked[np.arange(prefixes.shape[0])[:, None], prefixes] = False
-    pairs = _pairs(m)
-    tables = {"left": unranked.astype(float), "unranked": np.nonzero(unranked)[1].reshape(-1, m - d),
-              "both": (unranked[:, pairs[:, 0]] & unranked[:, pairs[:, 1]]).astype(float)}
-    if d:
-        last = prefixes[:, -1]
-        tables.update(parent=np.arange(len(last)) // (m - d + 1), last=last, by_last=np.argsort(last, kind="stable"))
+    """Read-only index tables of the P(m, d) ordered ``d``-tuples of distinct
+    local positions of an m-edge (prefixes), in lexicographic order:
+    ``unranked``, the positions a prefix leaves, ascending (n_p, m - d), and for
+    d >= 1 ``parent``, its row at depth d - 1, ``last``, its last position, and
+    ``by_last``, their stable argsort. Built from depth d - 1: a parent's
+    m - d + 1 children are contiguous, child j ranking its j-th unranked position."""
+    if d == 0:
+        tables = {"unranked": np.arange(m)[None]}
+    else:
+        up, width = _prefix_tables(m, d - 1)["unranked"], m - d + 1
+        kept = np.nonzero(~np.eye(width, dtype=bool))[1].reshape(width, width - 1)  # the columns child j keeps
+        tables = {"unranked": up[:, kept].reshape(-1, m - d), "parent": np.arange(up.size) // width,
+                  "last": up.ravel(), "by_last": np.argsort(up, axis=None, kind="stable")}
     for table in tables.values():
         table.flags.writeable = False
     return tables
 
 
-def _by_spread(u, edges: np.ndarray, fast, rescue) -> np.ndarray:
-    """Rows of ``fast(edges)`` for the edges whose utilities spread by at most
-    :data:`_RESCUE_SPREAD`, and of ``rescue(u[edges])`` for the others."""
+@functools.lru_cache(maxsize=None)
+def _pair_prefixes(m: int, d: int) -> np.ndarray:
+    """Read-only (P(m - 2, d), n_pairs) table: column r lists, ascending, the
+    depth-``d`` prefixes of :func:`_prefix_tables` that leave both positions of
+    the :func:`_pairs` row r unranked."""
+    unranked = _prefix_tables(m, d)["unranked"]
+    left = np.zeros((len(unranked), m), dtype=bool)
+    left[np.arange(len(unranked))[:, None], unranked] = True
+    out = np.stack([np.flatnonzero(left[:, p] & left[:, q]) for p, q in _pairs(m)], axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _by_spread(u, edges: np.ndarray, block) -> np.ndarray:
+    """Rows of ``block(scores)`` (:func:`plrank.model._edge_scores`) for the edges
+    whose utilities spread by at most :data:`_RESCUE_SPREAD`, and of
+    ``block(u[edges], far=True)`` for the others."""
     vals = u[edges]
     far = functools.reduce(np.maximum, vals.T) - functools.reduce(np.minimum, vals.T) > _RESCUE_SPREAD
     if not far.any():
-        return fast(edges)
-    near = fast(edges[~far])
+        return block(_edge_scores(u, edges))
+    near = block(_edge_scores(u, edges[~far]))
     out = np.empty((edges.shape[0],) + near.shape[1:])
-    out[~far], out[far] = near, rescue(vals[far])
+    out[~far], out[far] = near, block(vals[far], far=True)
     return out
 
 
-def _choice_shares(vals: np.ndarray, left: np.ndarray) -> np.ndarray:
-    """Choice probabilities (n_r, n_s, m) among the positions each of n_s
-    stages leaves (``left``, (n_s, m)), 0 elsewhere: log S = max + log sum
-    exp(v - max) is formed before anything is exponentiated."""
-    v = np.where(left, vals[:, None, :], -np.inf)
-    share = np.exp(v - v.max(axis=2, keepdims=True))
-    return share / share.sum(axis=2, keepdims=True)
+def _stage_scale(v: np.ndarray, unranked: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each stage's own scale for utilities ``v`` (m, n_r): the largest utility of the
+    positions ``unranked`` (n_p, m - d) leaves, and ``sum exp(v - shift)`` over them."""
+    shift = functools.reduce(np.maximum, (np.take(v, c, axis=0) for c in unranked.T))
+    return shift, functools.reduce(np.add, (np.exp(np.take(v, c, axis=0) - shift) for c in unranked.T))
 
 
-def _rescued_pair_weights(vals: np.ndarray, y: int) -> np.ndarray:
-    """:func:`_expected_hessian_block` of edges with utilities ``vals`` (n_r,
-    m) at any spread: the same walk in the log domain (:func:`_choice_shares`).
-    A prefix adds ``P(prefix) (a_p/S) (a_q/S)`` to the pair (p, q), one slice
-    (n_r, depth, n_pairs) per depth; row sums are the positions' marginal
-    inverse variances."""
-    m, depth = vals.shape[1], min(y, vals.shape[1] - 1)
-    p, q = _pairs(m).T
-    out = np.zeros((vals.shape[0], depth, len(p)))
-    for rows in _row_chunks(vals.shape[0], math.perm(m, depth - 1) * len(p)):
-        prob = np.ones((out[rows].shape[0], 1))
-        for d in range(depth):
-            tables = _prefix_tables(m, d)
-            if d:
-                prob = prob[:, tables["parent"]] * choice[:, tables["parent"], tables["last"]]
-            choice = _choice_shares(vals[rows], tables["left"] > 0)
-            out[rows, d] = np.einsum("rt,rtk->rk", prob, choice[..., p] * choice[..., q])
-    return out
+def _prefix_walk(v: np.ndarray, depth: int, far: bool = False):
+    """Ordered prefixes of rows (m, n_r) of scores shifted by each row's maximum:
+    yields, for d = 0..``depth``, the :func:`_prefix_tables` and (n_p, n_r)
+    arrays ``prob`` (the parent's times ``score[last] / parent_rest``), ``rest``
+    and ``parent_rest`` (None at d = 0), the sums of the scores a prefix and its
+    parent leave. With ``far``, ``v`` holds utilities and each parent scores on
+    its own scale (:func:`_stage_scale`). Nothing is subtracted, no result depends
+    on the row batching, and there is no BLAS (its threads oversubscribe a pool)."""
+
+    def scores(cols, shift):
+        return np.exp(np.take(v, cols, axis=0) - shift) if far else np.take(v, cols, axis=0)
+
+    tables, prob = _prefix_tables(v.shape[0], 0), np.ones((1, v.shape[1]))
+    rest = _stage_scale(v, tables["unranked"])[1] if far else functools.reduce(np.add, v)[None]
+    yield tables, prob, rest, None
+    for d in range(1, depth + 1):
+        if far:  # the parents' own scale
+            shift, rest = _stage_scale(v, tables["unranked"])
+        tables = _prefix_tables(v.shape[0], d)
+        shift = np.take(shift, tables["parent"], axis=0) if far else None
+        parent_rest = np.take(rest, tables["parent"], axis=0)
+        prob = np.take(prob, tables["parent"], axis=0) * scores(tables["last"], shift) / parent_rest
+        rest = functools.reduce(np.add, (scores(c, shift) for c in tables["unranked"].T))
+        yield tables, prob, rest, parent_rest
 
 
-def _expected_hessian_block(u, edges: np.ndarray, y: int) -> np.ndarray:
-    """Off-diagonal expected-Hessian weights of same-size edges (n_e, m) at
-    cutoff ``y``: one column per position pair of :func:`_pairs`.
-
-    The weight of (p, q) is ``a_p a_q E[sum_{j <= r_p ^ r_q ^ y} 1/S_j**2]``,
-    i.e. the sum over depths d < y and ordered depth-d prefixes that leave both
-    p and q unranked of ``P(prefix) / S**2``, S being the unranked score sum.
-    Depth by depth, prefix probabilities extend their parents'
-    (:func:`_prefix_tables`), S is a product with the 0/1 unranked map (a sum
-    of positive scores, no cancellation), and one product with the 0/1 pair
-    map adds the depth to every edge's block. Scores are shifted by each
-    edge's own maximum (the shift cancels). Rows are batched on the last
-    depth's prefixes or the pairs, whichever are more; BLAS rounds by the
-    batch's shape.
-    """
-    m = edges.shape[1]
+def _expected_hessian_block(v: np.ndarray, y: int, far: bool = False) -> np.ndarray:
+    """Off-diagonal expected-Hessian weights (n_e, n_pairs) of same-size edges
+    at cutoff ``y`` from :func:`_prefix_walk` rows ``v`` (n_e, m). The weight of
+    the :func:`_pairs` row (p, q), ``a_p a_q E[sum_{j <= r_p ^ r_q ^ y} 1/S_j**2]``,
+    adds ``P(prefix) / S**2`` over the prefixes of depths d < y that leave p and
+    q (:func:`_pair_prefixes`) in a fixed order, times ``a_p a_q`` (with ``far``,
+    term by term on each stage's own scale). Rows are batched on the deepest
+    depth's C(m, 2) P(m - 2, depth - 1) terms."""
+    n_e, m = v.shape
     depth = min(y, m - 1)  # depth m - 1 leaves one item: no unranked pair
-    pairs = _pairs(m)
-    a = _edge_scores(u, edges)
-    out = np.zeros((edges.shape[0], len(pairs)))
-    for rows in _row_chunks(edges.shape[0], max(math.perm(m, depth - 1), len(pairs))):
-        ac = a[rows]
-        prob = np.ones((ac.shape[0], 1))
-        for d in range(depth):
-            tables = _prefix_tables(m, d)
-            if d:
-                prob = prob[:, tables["parent"]] * ac[:, tables["last"]] / rest[:, tables["parent"]]
-            rest = ac @ tables["left"].T
-            out[rows] += (prob / rest**2) @ tables["both"]
-    return out * a[:, pairs[:, 0]] * a[:, pairs[:, 1]]
+    p, q = _pairs(m).T
+    out = np.zeros((len(p), n_e))
+    for rows in _row_chunks(n_e, len(p) * math.perm(m - 2, depth - 1)):
+        vt = np.ascontiguousarray(v[rows].T)
+        for d, (tables, prob, rest, _) in enumerate(_prefix_walk(vt, depth - 1, far)):
+            at = _pair_prefixes(m, d)
+            if far:  # each stage on its own scale: its pair products inside the sum
+                shift, rest = _stage_scale(vt, tables["unranked"])
+                pair = np.exp(vt[p] - np.take(shift, at, axis=0)) * np.exp(vt[q] - np.take(shift, at, axis=0))
+            terms = np.take(prob / rest**2, at, axis=0)  # (P(m - 2, d), n_pairs, rows)
+            # numpy sums pairwise only along the fast axis, which axis 0 is not
+            # (n_pairs > 1 when P(m - 2, d) > 1): prefixes add in order at any batching
+            out[:, rows] += (terms * pair if far else terms).sum(axis=0)
+    return out.T if far else out.T * v[:, p] * v[:, q]
 
 
 def _bradley_terry_block(u, edges: np.ndarray, y: int) -> np.ndarray:
@@ -364,12 +371,11 @@ def _pair_weights(u, groups, block):
 
 def _expected_pair_weights(u, dataset: Dataset, max_prefixes_per_edge: int = 10**6):
     """Pair weights of the expected marginal Hessian's per-edge blocks, after
-    the per-edge prefix budget check; edges beyond :data:`_RESCUE_SPREAD` go
-    through :func:`_rescued_pair_weights`."""
+    the per-edge prefix budget check."""
     groups = grouped_rankings(dataset)
     _check_prefix_budget(groups, math.perm, max_prefixes_per_edge, "expected-Hessian")
     return _pair_weights(u, groups, lambda u, edges, y: _by_spread(
-        u, edges, lambda e: _expected_hessian_block(u, e, y), lambda v: _rescued_pair_weights(v, y).sum(axis=1)))
+        u, edges, lambda v, far=False: _expected_hessian_block(v, y, far)))
 
 
 def _laplacian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -387,11 +393,11 @@ def expected_marginal_hessian(u, dataset: Dataset, max_prefixes_per_edge: int = 
     the same ``u``, by exact enumeration of ordered top-``y`` prefixes.
 
     Depends on the dataset only through edges and cutoffs. Each (edge size,
-    cutoff) group is enumerated once, as a batch over its edges: cached
-    per-depth prefix tables turn prefix probabilities and ``1/S**2`` into
-    every edge's off-diagonal block with one matrix product per depth (see
-    :func:`_expected_hessian_block`). Raises :class:`EnumerationBudgetError` when some edge needs more
-    than ``max_prefixes_per_edge`` ordered prefixes (m!/(m-y)!).
+    cutoff) group is enumerated once, as a batch over its edges, by one prefix
+    walk that adds ``P/S**2`` over the prefixes leaving each pair in a fixed
+    order (:func:`_expected_hessian_block`). Raises :class:`EnumerationBudgetError`
+    when some edge needs more than ``max_prefixes_per_edge`` ordered prefixes
+    (m!/(m-y)!).
     """
     u = check_utilities(u, dataset.n)
     i, j, w, _ = _expected_pair_weights(u, dataset, max_prefixes_per_edge)

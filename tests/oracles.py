@@ -105,9 +105,10 @@ def hessian_to_coo_csv(h, path) -> None:
 
 def marginal_inverse_variance_loop(u, dataset: Dataset, k: int) -> float:
     """Inverse asymptotic variance of the marginal-family estimate of item k:
-    sum of :func:`plrank.marginal_info_term` (the log-domain walk, which
-    shares no code with the batch kernel's fast path) over containing edges
-    and depths up to each observation's cutoff."""
+    sum of :func:`plrank.marginal_info_term` (the prefix walk's far branch,
+    every stage on its own scale, which shares no arithmetic with the batch
+    kernel's fast path) over containing edges and depths up to each
+    observation's cutoff."""
     u = check_utilities(u, dataset.n)
     out = 0.0
     for obs in dataset.observations:

@@ -40,13 +40,14 @@ from plrank import (
     z_for_level,
 )
 from plrank.inference import (
+    _prefix_info,
     _qmle_moments,
     batch_marginal_inverse_variance,
     batch_qmle_inverse_variance,
     marginal_info_term_bruteforce,
 )
-from plrank.likelihood import EnumerationBudgetError, _rescued_pair_weights
-from plrank.model import _pairs, grouped_rankings
+from plrank.likelihood import EnumerationBudgetError
+from plrank.model import grouped_rankings
 
 
 class TestInfoTerm:
@@ -96,6 +97,19 @@ class TestInfoTerm:
             marginal_info_term(np.zeros(4), (0, 1, 2), 1, 3)
         with pytest.raises(ValueError):
             pairwise_info_term(np.zeros(4), (0, 1, 2), 3)
+
+    @pytest.mark.parametrize("term", [
+        pytest.param(lambda u, edge, k: marginal_info_term(u, edge, 1, k), id="marginal_info_term"),
+        pytest.param(pairwise_info_term, id="pairwise_info_term"),
+        pytest.param(pairwise_var_term, id="pairwise_var_term"),
+    ])
+    @pytest.mark.parametrize("edge, match", [
+        ((0, 0, 1), "duplicate"), ((0, 1, 3), "item 3 outside"), ((0, -1, 2), "nonnegative"), ((0,), "at least 2"),
+    ])
+    def test_bad_edge_is_a_value_error(self, term, edge, match):
+        # checked as an Observation's ranking is, and against the utilities
+        with pytest.raises(ValueError, match=match):
+            term(np.zeros(3), edge, 0)
 
 
 class TestPairwiseTerms:
@@ -242,9 +256,7 @@ class TestInverseVariances:
         got, cost = batch_marginal_inverse_variance(u, ds)
         want = np.zeros(n)
         for (m, y), (_, rankings) in grouped_rankings(ds).items():
-            weights = _rescued_pair_weights(u[rankings], y).sum(axis=1)  # the log-domain walk, per pair
-            for col in _pairs(m).T:
-                np.add.at(want, rankings[:, col], weights)
+            np.add.at(want, rankings, _prefix_info(u[rankings], min(y, m - 1), far=True))  # the far branch, forced
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
         assert cost == 3 * sum(math.perm(8, d) for d in range(1, 8)) + 3 * sum(math.perm(8, d) for d in range(1, 4))
         with mock.patch.object(plrank.likelihood, "_CHUNK", 1):  # one row per batch
