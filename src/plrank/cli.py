@@ -169,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimator", default="qmle", choices=ESTIMATOR_KINDS)
     p.add_argument("--exact-cheeger", action="store_true")
     p.add_argument("--cheeger-cap", type=int, default=DEFAULT_CHEEGER_CAP)
-    p.add_argument("--gamma-re", action="store_true", help="exact admissible-chain bound (tiny n)")
+    p.add_argument("--gamma-re", action="store_true", help="exact admissible-chain bound, a dynamic program over all 2^n subsets (n capped by --gamma-re-cap)")
     p.add_argument("--gamma-re-cap", type=int, default=DEFAULT_CHAIN_CAP)
     p.add_argument("--no-spectral", action="store_true")
     p.add_argument("--out", required=True, help="output JSON")

@@ -8,12 +8,12 @@ samplers draw uniform m-subsets, optionally only community-crossing ones;
 they count the eligible subsets by arithmetic and raise before drawing when
 too few exist.
 
-Diagnostics: degree extremes, shared-edge counts and the edge-sharing ratio,
-the subset-boundary Cheeger constant (exact small-n scan), spectral gaps of
-the normalized expected-Hessian Laplacian, leave-one-out gaps (that
-Laplacian downdated by each item's edges), and the admissible-chain
-expansion bound (exact tiny-n enumeration). Repeated edges count with
-multiplicity throughout.
+Diagnostics, each of a Dataset or an edge list: degree extremes, shared-edge
+counts and the edge-sharing ratio, the subset-boundary Cheeger constant and
+the admissible-chain expansion bound (exact scans of all 2^n subsets over
+one table of distinct edge masks), spectral gaps of the normalized
+expected-Hessian Laplacian and leave-one-out gaps (that Laplacian downdated
+by each item's edges). Repeated edges count with multiplicity throughout.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .estimators import apply_estimator_cutoff
-from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_items, _pair_weights
+from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_items, _pair_weights, _row_chunks
 from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _sink_component, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
-_CHEEGER_CHUNK = 1 << 12  # subsets scanned per batch by modified_cheeger
 
 
 class CapExceededError(RuntimeError):
@@ -283,29 +282,38 @@ def is_connected(edges, n: int) -> bool:
     return _sink_component(np.concatenate([arcs, arcs[:, ::-1]]), n) is None
 
 
+def _edge_cuts(dataset: Dataset):
+    """``cut(subsets) -> (boundary, inside)``, flags (subsets, distinct edge
+    bitmasks of ``dataset``) of each edge meeting both the subset and its
+    complement or lying inside it, and ``counts``, how many edges have each."""
+    masks = [np.bitwise_or.reduce(1 << rankings, axis=1) for _, rankings in grouped_rankings(dataset).values()]
+    masks, counts = np.unique(np.concatenate([np.empty(0, np.int64), *masks]), return_counts=True)
+
+    def cut(subsets):
+        inter = subsets[:, None] & masks
+        return (inter != 0) & (inter != masks), inter == masks
+
+    return cut, counts
+
+
 def modified_cheeger(edges, n: int, cap: int = DEFAULT_CHEEGER_CAP) -> float:
-    """min over nonempty proper subsets U of |boundary(U)| / min(|U|, |U^c|),
-    by exact scan of all subsets (positive iff connected). ``n`` is capped."""
+    """min over nonempty proper subsets U of |boundary(U)| / min(|U|, |U^c|) in
+    an edge list or Dataset, by exact scan of all subsets (positive iff
+    connected). ``n`` is capped."""
+    dataset = _as_dataset(edges, n)
+    n = dataset.n
     if n > cap:
         raise CapExceededError(f"exact subset scan needs n <= {cap}, got {n}")
     if n < 2:
         raise ValueError("need at least 2 vertices")
-    masks = np.asarray([sum(1 << v for v in set(e)) for e in edges], dtype=np.uint64)
-    full = (1 << n) - 1
+    cut, counts = _edge_cuts(dataset)
+    # U and its complement give the same value: scan the proper subsets containing vertex 0
+    subsets = np.arange(1, (1 << n) - 1, 2)
     best = math.inf
-    # U and its complement give the same value: scan subsets containing vertex 0
-    subsets = np.arange(1, full + 1, 2, dtype=np.uint64)
-    for lo in range(0, subsets.size, _CHEEGER_CHUNK):
-        u = subsets[lo : lo + _CHEEGER_CHUNK]
-        if int(u[-1]) == full:
-            u = u[:-1]
-            if u.size == 0:
-                break
-        inter = u[:, None] & masks[None, :]
-        bd = ((inter != 0) & (inter != masks[None, :])).sum(axis=1)
-        sizes = np.bitwise_count(u).astype(np.int64)
-        ratio = bd / np.minimum(sizes, n - sizes)
-        best = min(best, float(ratio.min()) if ratio.size else math.inf)
+    for rows in _row_chunks(subsets.size, max(1, counts.size)):
+        u = subsets[rows]
+        sizes = np.bitwise_count(u)
+        best = min(best, float((cut(u)[0] @ counts / np.minimum(sizes, n - sizes)).min()))
     return best
 
 
@@ -401,59 +409,31 @@ def expansion_chain_bound(edges, n: int, cap: int = DEFAULT_CHAIN_CAP) -> float:
     A chain of strictly increasing vertex subsets is admissible when, at every
     step, at least half of the current boundary edges land inside the next
     set; the final set contributes no summand. Exact dynamic program over all
-    subsets, so ``n`` is tightly capped. Errors on disconnected graphs (some
-    h(A) would be zero).
+    subsets of an edge list or Dataset, so ``n`` is tightly capped. Errors on
+    disconnected graphs (some h(A) would be zero).
     """
+    dataset = _as_dataset(edges, n)
+    n = dataset.n
     if n > cap:
         raise CapExceededError(f"admissible-chain enumeration needs n <= {cap}, got {n}")
-    if not is_connected(edges, n):
+    if not is_connected(dataset, n):
         raise ValueError("expansion bound undefined on a disconnected graph")
-    edge_masks = [sum(1 << v for v in set(e)) for e in edges]
-    n_edges = len(edge_masks)
-    full = (1 << n) - 1
-    log_n = math.log(n)
-
-    boundary_bits = [0] * (full + 1)  # bit i set <-> edge i in boundary(A)
-    inside_bits = [0] * (full + 1)  # bit i set <-> edge i inside A
-    weight = [0.0] * (full + 1)
-    for a in range(1, full + 1):
-        size = a.bit_count()
-        bd = ins = 0
-        for i, em in enumerate(edge_masks):
-            inter = em & a
-            if inter == em:
-                ins |= 1 << i
-            elif inter:
-                bd |= 1 << i
-        boundary_bits[a] = bd
-        inside_bits[a] = ins
-        if a != full:
-            h = bd.bit_count() / min(size, n - size)
-            weight[a] = math.sqrt(log_n / h)  # h > 0: graph is connected
-
-    # f(A) = best chain total starting at A; supersets processed first
-    f = [0.0] * (full + 1)
-    order = sorted(range(1, full + 1), key=lambda a: -a.bit_count())
-    best = 0.0
-    for a in order:
-        if a == full:
-            continue
-        bd = boundary_bits[a]
-        need = (bd.bit_count() + 1) // 2  # at least half
-        best_tail = None
-        rest = full & ~a
-        sub = rest
-        while sub:  # all strict supersets a | sub
-            b = a | sub
-            if (bd & inside_bits[b]).bit_count() >= need:
-                tail = f[b]
-                if best_tail is None or tail > best_tail:
-                    best_tail = tail
-            sub = (sub - 1) & rest
-        if best_tail is not None:
-            f[a] = max(0.0, weight[a] + best_tail)
-        best = max(best, f[a])
-    return best
+    cut, counts = _edge_cuts(dataset)
+    sets = np.arange(1 << n)
+    inside = cut(sets)[1].T.astype(float)
+    # f(A) = best chain total from A, levels n - 1 down to 1, f(full) = 0; held @ inside
+    # counts A's boundary edges inside each B exactly (float sums of integers < 2**53)
+    f = np.zeros(sets.size)
+    for k in range(n - 1, 0, -1):
+        level = sets[np.bitwise_count(sets) == k]
+        for rows in _row_chunks(level.size, sets.size):
+            a = level[rows, None]
+            held = cut(a[:, 0])[0] * counts
+            bd = held.sum(axis=1, keepdims=True)
+            follows = (sets & a == a) & (sets != a) & (2 * (held @ inside) >= bd)
+            weight = np.sqrt(math.log(n) / (bd[:, 0] / min(k, n - k)))  # h > 0: the graph is connected
+            f[a[:, 0]] = np.maximum(0.0, weight + np.where(follows, f, -np.inf).max(axis=1))
+    return float(f.max())
 
 
 def enumerate_admissible_chains(edges, n: int, cap: int = DEFAULT_CHAIN_CAP):
@@ -547,7 +527,7 @@ def graph_diagnostics(
         out.s_gap = spectrum.s_gap
         out.lambda2_leave = spectrum.lambda2_leave
     if exact_cheeger:
-        out.cheeger = modified_cheeger(dataset.edges, dataset.n, cap=cheeger_cap)
+        out.cheeger = modified_cheeger(dataset, dataset.n, cap=cheeger_cap)
     if chain_bound:
-        out.gamma_re = expansion_chain_bound(dataset.edges, dataset.n, cap=chain_cap)
+        out.gamma_re = expansion_chain_bound(dataset, dataset.n, cap=chain_cap)
     return out

@@ -82,7 +82,7 @@ class Observation:
         if len(set(ranking)) != m:
             raise ValueError(f"ranking {ranking} has duplicate items (ties are not modeled)")
         if any(k < 0 for k in ranking):
-            raise ValueError("item indices must be nonnegative")
+            raise ValueError(f"ranking {ranking} has a negative item (item indices must be nonnegative)")
         cutoff = m if self.cutoff == -1 else int(self.cutoff)
         if not 1 <= cutoff <= m:
             raise ValueError(f"cutoff {cutoff} outside [1, {m}]")

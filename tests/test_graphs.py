@@ -1,6 +1,9 @@
 import hashlib
 import itertools
 import math
+import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.stats import chi2, ks_2samp
 from strategies import cutoff_datasets, edge_lists, subset_draws, utilities
 
+import plrank.likelihood
 from plrank import (
     BlockModelConfig,
     CapExceededError,
@@ -33,6 +37,7 @@ from plrank import (
     sample_block_model,
     sample_distinct_edges,
     sample_random_hypergraph,
+    sample_rankings,
     shared_edges,
     spectral_diagnostics,
 )
@@ -519,6 +524,76 @@ class TestChainBound:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             expansion_chain_bound([(0, 1)], 11)
+
+
+@st.composite
+def connected_multigraphs(draw, max_items):
+    """(n, edges): a path through every item, then :func:`edge_lists`' edges,
+    then at least one of them again."""
+    n, edges = draw(edge_lists(max_items=max_items, max_m=4, max_edges=8))
+    edges = [(v, v + 1) for v in range(n - 1)] + edges
+    return n, edges + draw(st.lists(st.sampled_from(edges), min_size=1, max_size=4))
+
+
+class TestSubsetScans:
+    """The exact Cheeger and chain scans read one table of distinct edge
+    masks, weighted by multiplicity, in row batches of one element budget
+    (``likelihood._CHUNK``)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(connected_multigraphs(max_items=8))
+    def test_cheeger_counts_repeated_edges(self, graph):
+        n, edges = graph
+        assert modified_cheeger(edges, n) == pytest.approx(modified_cheeger_bruteforce(edges, n), abs=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_multigraphs(max_items=6))
+    def test_chain_bound_counts_repeated_edges(self, graph):
+        n, edges = graph
+        best = max(chain_score(edges, n, ch) for ch in enumerate_admissible_chains(edges, n))
+        assert expansion_chain_bound(edges, n) == pytest.approx(best, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(connected_multigraphs(max_items=8))
+    def test_results_do_not_depend_on_the_budget(self, graph):
+        n, edges = graph
+        default = modified_cheeger(edges, n), expansion_chain_bound(edges, n)
+        for chunk in (1, 7):  # one subset per batch, and batches that end inside a level
+            with mock.patch.object(plrank.likelihood, "_CHUNK", chunk):
+                assert (modified_cheeger(edges, n), expansion_chain_bound(edges, n)) == default, chunk
+
+    def test_dataset_and_edge_list_agree(self):
+        edges = [(0, 1, 2), (1, 2, 3), (0, 3), (0, 3)]
+        ds = sample_rankings(np.zeros(4), edges, np.random.default_rng(3), cutoff=1)
+        assert modified_cheeger(ds, 4) == modified_cheeger(edges, 4)
+        assert expansion_chain_bound(ds, 4) == expansion_chain_bound(edges, 4)
+
+    @pytest.mark.parametrize("scan", [modified_cheeger, expansion_chain_bound])
+    @pytest.mark.parametrize(
+        "edges, observation",
+        [
+            ([(0, 1), (1, 5), (2, 3)], "(1, 5)"),  # an item beyond n, not a vertex of the scan
+            ([(0, 0, 1), (1, 2), (2, 3)], "(0, 0, 1)"),  # a repeated item
+            ([(0, -1), (0, 1), (1, 2), (2, 3)], "(0, -1)"),  # a negative item
+        ],
+    )
+    def test_bad_items_raise_naming_the_observation(self, scan, edges, observation):
+        with pytest.raises(ValueError, match=re.escape(observation)):
+            scan(edges, 4)
+
+    @pytest.mark.parametrize("scan, n, n_edges", [(modified_cheeger, 12, 5000), (expansion_chain_bound, 10, 2000)])
+    def test_memory_follows_distinct_edges(self, scan, n, n_edges):
+        # a mask per edge and per subset took a 97.7 MiB peak for the Cheeger
+        # scan on 5,000 triples over 12 items, of which 220 are distinct
+        rng = np.random.default_rng(22)
+        edges = [tuple(rng.choice(n, size=3, replace=False).tolist()) for _ in range(n_edges)]
+        tracemalloc.start()
+        try:
+            scan(edges, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak / 2**20
 
 
 class TestBundle:
