@@ -4,9 +4,10 @@ Generators: per-size Bernoulli / fixed-count hypergraphs with optionally
 nonuniform edge probabilities, and a block model where within-community and
 cross-community edges have different probabilities. Both take an explicit
 seeded generator and are deterministic given (config, seed). The two edge
-samplers draw uniform m-subsets, optionally only community-crossing ones;
-they count the eligible subsets by arithmetic and raise before drawing when
-too few exist.
+samplers are one draw routine (:func:`_draw_edges`) of uniform m-subsets,
+optionally only community-crossing ones; it counts the eligible subsets by
+arithmetic, and raises before drawing when too few exist or an item repeats
+or is negative.
 
 Diagnostics, each of a Dataset or an edge list: degree extremes, shared-edge
 counts and the edge-sharing ratio, the subset-boundary Cheeger constant and
@@ -26,7 +27,7 @@ import numpy as np
 
 from .estimators import apply_estimator_cutoff
 from .likelihood import _bradley_terry_block, _expected_pair_weights, _laplacian, _pair_items, _pair_weights, _row_chunks
-from .model import Dataset, Edge, _dominance_arcs, _edge_dataset, _sink_component, check_utilities, grouped_rankings
+from .model import Dataset, Edge, _as_dataset, _dominance_arcs, _sink_component, check_utilities, grouped_rankings
 
 DEFAULT_CHEEGER_CAP = 20
 DEFAULT_CHAIN_CAP = 10
@@ -136,15 +137,23 @@ def _eligible_count(items: np.ndarray, m: int, crossing) -> int:
     return total - sum(math.comb(int(k), m) for k in np.bincount(np.searchsorted(crossing, items, side="right")))
 
 
-def _draw_edges(items: np.ndarray, m: int, count: int, rng: np.random.Generator,
-                crossing, distinct: bool) -> list[Edge]:
+def _draw_edges(items, m: int, count: int, rng: np.random.Generator, crossing, distinct: bool) -> list[Edge]:
     """``count`` uniform m-subsets of ``items`` (distinct ones, or repeats
     allowed), keeping with ``crossing`` bounds only those whose first and last
-    items fall in different communities [b_i, b_i+1), by batched rejection.
-    Raises ValueError before any draw when too few subsets are eligible."""
+    items fall in different communities [b_i, b_i+1): one batch when no subset
+    can be rejected, else batched rejection. Raises ValueError before any draw
+    when m < 2, count < 0, an item repeats or is negative, or too few subsets
+    are eligible."""
+    items = np.asarray(items, dtype=np.int64)
+    if m < 2 or count < 0:
+        raise ValueError(f"need edge size m >= 2 and count >= 0, got m={m}, count={count}")
+    if (items < 0).any() or np.unique(items).size < items.size:
+        raise ValueError("edge items must be distinct and nonnegative")
     eligible = _eligible_count(items, m, crossing)
     if (count > eligible) if distinct else (count > 0 and eligible == 0):
         raise ValueError(f"only {eligible} eligible size-{m} edges, {count} requested")
+    if count and not distinct and crossing is None:  # nothing to reject: one batch
+        return list(map(tuple, _random_subsets(items, m, count, rng).tolist()))
     out: list[Edge] = []
     seen: set[Edge] = set()
     while len(out) < count:
@@ -166,11 +175,7 @@ def _draw_edges(items: np.ndarray, m: int, count: int, rng: np.random.Generator,
 def sample_distinct_edges(items, m: int, count: int, rng: np.random.Generator, crossing=None) -> list[Edge]:
     """``count`` distinct uniform m-subsets of ``items``, only community-crossing
     ones when ``crossing`` gives the community bounds b_0 < b_1 < ...; raises
-    ValueError when fewer eligible subsets exist."""
-    items = np.asarray(items, dtype=np.int64)
-    total = math.comb(len(items), m)
-    if count > total:
-        raise ValueError(f"cannot draw {count} distinct edges from {total} candidates")
+    ValueError when fewer eligible subsets exist (see :func:`_draw_edges`)."""
     return _draw_edges(items, m, count, rng, crossing, distinct=True)
 
 
@@ -178,12 +183,7 @@ def sample_uniform_edges(items, m: int, count: int, rng: np.random.Generator, cr
     """``count`` i.i.d. uniform m-subsets of ``items`` (repeats allowed), as for
     independently assembled comparisons, only community-crossing ones when
     ``crossing`` gives the community bounds; raises ValueError when no subset
-    is eligible."""
-    items = np.asarray(items, dtype=np.int64)
-    if m > len(items):
-        raise ValueError(f"cannot form size-{m} edges from {len(items)} items")
-    if crossing is None:
-        return list(map(tuple, _random_subsets(items, m, count, rng).tolist()))
+    is eligible (see :func:`_draw_edges`)."""
     return _draw_edges(items, m, count, rng, crossing, distinct=False)
 
 
@@ -391,11 +391,6 @@ def spectral_diagnostics(
             lam_k = scipy.linalg.eigvalsh(lap_k, subset_by_index=[1, 1])[0] if n > 2 else 0.0
             lam_leave = min(lam_leave, float(lam_k))
     return SpectralDiagnostics(eigenvalues=eigs, s_gap=s_gap, lambda2_leave=lam_leave)
-
-
-def _as_dataset(dataset_or_edges, n=None) -> Dataset:
-    """A Dataset as is; an edge list as full observations of its edges."""
-    return dataset_or_edges if isinstance(dataset_or_edges, Dataset) else _edge_dataset(dataset_or_edges, n)
 
 
 # ---------------------------------------------------------------------------

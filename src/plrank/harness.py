@@ -32,7 +32,7 @@ from .graphs import (
     sample_uniform_edges,
 )
 from .inference import standard_errors
-from .model import DataFormatError, Dataset, _codes, _column_blocks, center, grouped_rankings, sample_rankings
+from .model import DataFormatError, Dataset, _as_dataset, _codes, _column_blocks, center, grouped_rankings, sample_rankings
 
 EXPERIMENT_KINDS = ("consistency", "coverage", "heterogeneity")
 
@@ -117,17 +117,18 @@ def resolve_design(design: dict, n: int) -> dict:
 def _design_sampler(design: dict, n: int):
     """The edge draw ``rng -> edges`` of a resolved design at ``n`` items. Its
     generator config is built here, before any draw, so an unknown kind, a
-    missing or invalid field, or items outside [0, n) raise ValueError naming
-    the design."""
+    missing or invalid field, or an explicit edge that is no valid observation
+    at ``n`` items raise ValueError naming the design."""
     kind = design.get("kind")
     try:
         if sum(int(s) for s in design.get("community_sizes", ())) > n:
             raise ValueError(f"community_sizes {design['community_sizes']} hold more than n={n} items")
         if kind == "explicit":
             edges = [tuple(sorted(int(v) for v in e)) for e in design["edges"]] * int(design.get("repeat", 1))
-            outside = [v for e in edges for v in e if not 0 <= v < n]
-            if outside:
-                raise ValueError(f"edges reference item {outside[0]}, outside [0, {n})")
+            try:
+                _as_dataset(edges, n)
+            except ValueError as exc:
+                raise ValueError(f"edges: {exc}") from None
             return lambda rng: list(edges)
         if kind == "fixed-sizes":
             if len(design["sizes"]) != len(design["counts"]):

@@ -13,10 +13,10 @@ sums, or densely (:func:`_laplacian`) for spectral work.
 
 Scores and the fit's stage sums exponentiate ``u - max(u)`` with one global
 shift, so an observation whose items all sit more than about 745 below the
-largest utility underflows to a zero score sum; Hessian blocks shift each
-edge by its own maximum instead, and an edge whose utilities spread by more
-than :data:`_RESCUE_SPREAD` shifts every stage by its own maximum
-(:func:`_by_spread`).
+largest utility underflows to a zero score sum. The observed Hessian shifts
+every stage by its own maximum; the expected Hessian and the SE walks shift
+each edge by its own maximum, and every stage of an edge whose utilities
+spread by more than :data:`_RESCUE_SPREAD` (:func:`_by_spread`).
 """
 
 from __future__ import annotations
@@ -150,21 +150,12 @@ def quasi_score(u, dataset: Dataset) -> np.ndarray:
     return _marginal_pass(u, _pair_block(dataset))[0]
 
 
-def _observed_hessian_block(a: np.ndarray, y: int) -> np.ndarray:
-    """Minus-Hessian pair weights of same-size rankings at cutoff ``y``, from
-    their scores ``a`` (n_g, m) shifted by each row's own maximum (the shift
-    cancels), one column per position pair (p, q), p < q, of :func:`_pairs`:
-    ``a_p a_q sum_{j <= min(p, y-1)} 1/S_j**2``."""
-    s = np.cumsum(a[:, ::-1], axis=1)[:, ::-1][:, :y]
-    c2 = np.cumsum(1.0 / s**2, axis=1)
-    p, q = _pairs(a.shape[1]).T
-    return a[:, p] * a[:, q] * c2[:, np.minimum(p, y - 1)]
-
-
-def _rescued_observed_block(vals: np.ndarray, y: int) -> np.ndarray:
-    """:func:`_observed_hessian_block` of rankings with utilities ``vals``
-    (n_r, m) at any spread: the products of stage j's choice probabilities
-    a_t/S_j, t >= j, each stage shifted by its own maximum, summed over stages."""
+def _observed_hessian_block(vals: np.ndarray, y: int) -> np.ndarray:
+    """Minus-Hessian pair weights of same-size rankings with utilities ``vals``
+    (n_g, m) at cutoff ``y``, one column per position pair (p, q), p < q, of
+    :func:`_pairs`: ``sum_{j <= min(p, y-1)} (a_p/S_j)(a_q/S_j)``, the products
+    of stage j's choice probabilities, each stage shifted by its own maximum
+    (exact at any spread)."""
     m = vals.shape[1]
     p, q = _pairs(m).T
     out = np.empty((vals.shape[0], len(p)))
@@ -188,8 +179,7 @@ def _sparse_hessian(n: int, i: np.ndarray, j: np.ndarray, w: np.ndarray) -> scip
 
 
 def _hessian(u, groups, n: int) -> scipy.sparse.csr_matrix:
-    i, j, w, _ = _pair_weights(u, groups, lambda u, rankings, y: _by_spread(
-        u, rankings, lambda v, far=False: _rescued_observed_block(v, y) if far else _observed_hessian_block(v, y)))
+    i, j, w, _ = _pair_weights(u, groups, lambda u, rankings, y: _observed_hessian_block(u[rankings], y))
     return _sparse_hessian(n, i, j, w)
 
 

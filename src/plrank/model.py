@@ -240,18 +240,21 @@ def sample_ranking(u, edge, rng: np.random.Generator) -> Ranking:
 
 
 def sample_rankings(u, edges, rng: np.random.Generator, cutoff=None) -> "Dataset":
-    """Sample one observation per edge; ``cutoff`` as in ``with_cutoff``.
+    """One observation per edge of an edge list or Dataset; ``cutoff`` as in ``with_cutoff``.
 
     Draws the same random numbers as a :func:`sample_ranking` call per edge,
     in edge order, with one Gumbel vector for the whole call.
     """
-    u = check_utilities(u)
-    return _redraw(u, _edge_dataset(edges, u.shape[0]), rng).with_cutoff(cutoff)
+    dataset = _as_dataset(edges, len(check_utilities(u)))
+    return _redraw(check_utilities(u, dataset.n), dataset, rng).with_cutoff(cutoff)
 
 
-def _edge_dataset(edges, n: int | None = None) -> Dataset:
-    """Full observations that rank each edge's items in the given order;
-    ``n`` defaults to one more than the largest item."""
+def _as_dataset(edges, n: int | None = None) -> Dataset:
+    """A Dataset as is; an edge list as the full observations that rank each
+    edge's items in the given order, ``n`` defaulting to one more than the
+    largest item."""
+    if isinstance(edges, Dataset):
+        return edges
     edges = list(edges)
     sizes = np.fromiter(map(len, edges), dtype=np.int64, count=len(edges))
     items = np.fromiter(itertools.chain.from_iterable(edges), dtype=np.int64, count=int(sizes.sum()))

@@ -162,13 +162,16 @@ def test_experiment_bad_config_is_config_error(tmp_path):
 _SMALL_COVERAGE = {"experiment": "coverage", "n_values": [12], "replications": 1,
                    "design": {"kind": "fixed-sizes", "sizes": [3], "counts": [40]}, "estimators": ["qmle"]}
 # an unknown kind, a fixed-sizes design without counts, one omega_within for two communities, and
-# (at n = 12) an explicit edge on item 20 and communities of 40 items
+# (at n = 12) an explicit edge on item 20, communities of 40 items, and explicit edges
+# with a repeated item or a single item
 _BAD_DESIGNS = [
     {"kind": "nope"},
     {"kind": "fixed-sizes", "sizes": [3]},
     {"kind": "block-bernoulli", "m": 3, "community_sizes": [6, 6], "omega_within": [0.5], "omega_cross": 0.1},
     {"kind": "explicit", "edges": [[0, 1], [0, 20]]},
     {"kind": "block-bernoulli", "m": 3, "community_sizes": [20, 20], "omega_within": [0.5, 0.5], "omega_cross": 0.1},
+    {"kind": "explicit", "edges": [[0, 0, 1], [1, 2]], "repeat": 20},
+    {"kind": "explicit", "edges": [[0, 1], [3]]},
 ]
 _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replications": 1,
                         "design": {"recipe": "heterogeneity"}, "estimators": ["qmle"]}
@@ -194,6 +197,8 @@ _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replic
     ({**_SMALL_COVERAGE, "utility_law": {"kind": "explicit", "values": [0.0] * 11}}, "utility_law"),
     ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[3]}, "edges"),
     ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[4]}, "community_sizes"),
+    ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[5]}, "edges"),
+    ({**_SMALL_COVERAGE, "design": _BAD_DESIGNS[6]}, "edges"),
     ({**_SMALL_COVERAGE, "utility_law": "uniform"}, "utility_law"),
     ({**_SMALL_COVERAGE, "utility_law": {"kind": "uniform", "low": 1, "high": 0}}, "utility_law"),
     ({**_SMALL_HETEROGENEITY, "addition_schedule": [0, 4],
@@ -205,6 +210,7 @@ _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replic
         "negative-addition", "ci-level", "fit-tol", "fit-max-iter", "unknown-design-kind", "missing-counts",
         "omega-within-length", "too-many-distinct", "no-crossing-edge", "community-below-m",
         "unknown-utility-law", "utility-law-length", "edge-item-past-n", "communities-past-n",
+        "edge-repeated-item", "edge-one-item",
         "utility-law-not-mapping", "utility-law-low-above-high", "added-edges-without-m",
         "tracked-community-below-m"])
 def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field):
@@ -218,7 +224,8 @@ def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field
 
 
 @pytest.mark.parametrize("design", _BAD_DESIGNS, ids=["unknown-kind", "missing-counts", "omega-within-length",
-                                                     "edge-item-past-n", "communities-past-n"])
+                                                     "edge-item-past-n", "communities-past-n", "edge-repeated-item",
+                                                     "edge-one-item"])
 def test_graph_diag_bad_design_is_config_error(tmp_path, capsys, design):
     cfg = tmp_path / "design.json"
     cfg.write_text(json.dumps({"n": 12, "design": design}))

@@ -168,6 +168,16 @@ class TestEdgeSampler:
         lambda rng: sample_distinct_edges(range(12), 3, 221, rng),
         lambda rng: sample_uniform_edges(range(12), 3, 5, rng, crossing=(0, 12)),
         lambda rng: sample_uniform_edges(range(12), 13, 5, rng),
+        # malformed requests: repeated or negative items, edges under two items, a negative count
+        lambda rng: sample_distinct_edges([0, 0, 1], 2, 3, rng),
+        lambda rng: sample_uniform_edges([0, 0, 1], 2, 3, rng),
+        lambda rng: sample_distinct_edges([3, 0, 3, 5], 2, 1, rng, crossing=(0, 2, 6)),
+        lambda rng: sample_uniform_edges([-1, 0, 1], 2, 3, rng),
+        lambda rng: sample_distinct_edges([-2, 0, 1], 2, 1, rng),
+        lambda rng: sample_uniform_edges(range(5), 0, 3, rng),
+        lambda rng: sample_distinct_edges(range(5), 1, 3, rng),
+        lambda rng: sample_uniform_edges(range(5), 2, -1, rng),
+        lambda rng: sample_distinct_edges(range(5), 2, -1, rng),
     ])
     def test_infeasible_request_raises_before_drawing(self, draw):
         rng = np.random.default_rng(13)
@@ -266,6 +276,23 @@ class TestBlockModel:
             for seed in range(3)
         ]
         assert hashlib.sha256(repr(draws).encode()).hexdigest()[:16] == "4aa7803c5f85657a"
+        # every sampler path, each with the generator state after its draw (its RNG consumption)
+        samplers = [
+            lambda rng: sample_block_model(bernoulli, rng),
+            lambda rng: sample_design_edges(typed, 15, rng),
+            lambda rng: sample_design_edges(resolve_design({"recipe": "hsbm-coverage"}, 60), 60, rng),
+            lambda rng: sample_design_edges(resolve_design({"recipe": "heterogeneity"}, 60), 60, rng),
+            lambda rng: sample_design_edges(resolve_design({"recipe": "nurhm-coverage"}, 200), 200, rng),
+            lambda rng: sample_uniform_edges(range(30), 4, 50, rng),
+            lambda rng: sample_distinct_edges(range(12), 3, 40, rng, crossing=(0, 5, 12)),
+        ]
+        pinned = []
+        for seed in range(3):
+            for draw in samplers:
+                rng = np.random.default_rng(seed)
+                pinned.append((draw(rng), rng.bit_generator.state["state"]["state"]))
+        assert hashlib.sha256(repr(pinned).encode()).hexdigest()[:16] == "bccfc2db9526eb45"
+        assert sample_distinct_edges(range(12), 13, 0, np.random.default_rng(0)) == []
 
 
 class TestDegreeDiagnostics:

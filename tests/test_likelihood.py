@@ -238,7 +238,6 @@ class TestExpectedHessian:
             raise AssertionError("rescue path taken")
 
         monkeypatch.setattr(plrank.likelihood, "_stage_scale", fail)  # the prefix walk's far branch
-        monkeypatch.setattr(plrank.likelihood, "_rescued_observed_block", fail)
         rng = np.random.default_rng(43)
         ds = sample_rankings(np.zeros(8), [tuple(rng.permutation(8)[:m]) for m in (3, 4, 5, 6) for _ in range(3)], rng)
         for u in (np.zeros(8), np.linspace(-150.0, 150.0, 8)):

@@ -23,7 +23,7 @@ from plrank import (
     sample_rankings,
     save_dataset,
 )
-from plrank.model import _edge_dataset, _pairs, _triples, grouped_rankings
+from plrank.model import _as_dataset, _pairs, _triples, grouped_rankings
 
 
 def test_log_probability_symmetric_pair():
@@ -305,8 +305,8 @@ class TestStoredBlocks:
     def test_edge_list_dataset_is_the_full_observations(self, ds):
         rankings = [obs.ranking for obs in ds.observations]
         want = Dataset(ds.n, [Observation(r) for r in rankings])
-        assert _blocks_equal(grouped_rankings(_edge_dataset(rankings, ds.n)), grouped_rankings(want))
-        inferred = _edge_dataset(map(np.array, rankings))  # n from the largest item, edges as arrays
+        assert _blocks_equal(grouped_rankings(_as_dataset(rankings, ds.n)), grouped_rankings(want))
+        inferred = _as_dataset(map(np.array, rankings))  # n from the largest item, edges as arrays
         assert inferred.n == 1 + max(map(max, rankings))
         assert _blocks_equal(grouped_rankings(inferred), grouped_rankings(want))
 
