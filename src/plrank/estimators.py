@@ -157,14 +157,17 @@ def _mm_marginal_sweep(u, groups):
     return _mm_step(u, work["wins"], v, lose)
 
 
-def _mm_fit(effective: Dataset, groups, kind: str, y_override, config: FitConfig | None) -> FitResult:
-    """Fixed-point fit on the engine groups of ``effective`` (its rankings, or
-    its broken pairs for the QMLE), after the existence check. An iterate is
-    Newman's candidate if that is finite, its score sup-norm is below the
-    larger of the current and previous iterates' (the largest residual may
-    move between items), and it does not overshoot: its score lies nearer to
-    zero than to minus the current score (Newman's step flips the utility
-    difference of two items that mostly meet each other). Else one MM step."""
+def _mm_fit(dataset: Dataset, kind: str, y_override, config: FitConfig | None) -> FitResult:
+    """The one fit path: the rankings at ``kind``'s cutoffs from
+    :func:`apply_estimator_cutoff` (``y_override`` for "marginal"), as pairs
+    for the QMLE, then the existence check and the fixed-point loop. An
+    iterate is Newman's candidate if that is finite, its score sup-norm is
+    below the larger of the current and previous iterates' (the largest
+    residual may move between items), and it does not overshoot: its score
+    lies nearer to zero than to minus the current score (Newman's step flips
+    the utility difference of two items meeting mostly each other), else MM."""
+    effective = apply_estimator_cutoff(dataset, kind, y_override)
+    groups = _pair_block(effective) if kind == "qmle" else grouped_rankings(effective)
     config = config or FitConfig()
     ok = existence_check(effective)
     if not ok:
@@ -196,7 +199,7 @@ def _mm_fit(effective: Dataset, groups, kind: str, y_override, config: FitConfig
         iterations=iterations,
         converged=grad_inf <= config.tol_grad_inf,
         final_grad_inf=grad_inf,
-        y_override=y_override,
+        y_override=None if kind == "qmle" else ESTIMATOR_CUTOFFS[kind] or y_override,
     )
 
 
@@ -206,35 +209,30 @@ def fit_marginal_mle(dataset: Dataset, y_override=None, config: FitConfig | None
 
     ``y_override``: None keeps stored cutoffs, an integer sets y = min(y, m),
     "full" sets y = m; the result's kind is the marginal kind of
-    :data:`ESTIMATOR_CUTOFFS` with that cutoff ("marginal" if none). Raises
-    :class:`NonexistenceError` when the maximizer does not exist. The
-    returned estimate satisfies the per-item estimating equations to the
-    configured tolerance when converged.
+    :data:`ESTIMATOR_CUTOFFS` with that cutoff ("marginal" if none), fitted
+    through the same path as ``fit``. Raises :class:`NonexistenceError` when
+    the maximizer does not exist. The returned estimate satisfies the
+    per-item estimating equations to the configured tolerance when converged.
     """
-    effective = dataset if y_override is None else dataset.with_cutoff(y_override)
     kind = next((k for k, y in ESTIMATOR_CUTOFFS.items() if y is not None and y == y_override), "marginal")
-    return _mm_fit(effective, grouped_rankings(effective), kind, y_override, config)
+    return _mm_fit(dataset, kind, y_override, config)
 
 
 def fit_qmle(dataset: Dataset, config: FitConfig | None = None) -> FitResult:
-    """QMLE: the fixed-point loop on the fully broken pairwise outcomes (the
-    engine's (2, 1) broken-pairs group, where Newman's step is his
-    Bradley-Terry iteration).
+    """``fit(dataset, "qmle")``: the fixed-point loop on the rankings broken
+    into pairs at the table's full cutoff, whatever cutoffs are stored (the
+    engine's (2, 1) group, where Newman's step is his Bradley-Terry iteration).
 
     The returned estimate matches observed and expected ranks per item
     (rank-matching estimating equations) to the configured tolerance.
     """
-    return _mm_fit(dataset, _pair_block(dataset), "qmle", None, config)
+    return _mm_fit(dataset, "qmle", None, config)
 
 
 def fit(dataset: Dataset, estimator: str, config: FitConfig | None = None) -> FitResult:
     """Fit an estimator kind ("full", "marginal", "choice1", "choice2",
     "qmle") at its cutoff from :data:`ESTIMATOR_CUTOFFS`."""
-    effective = apply_estimator_cutoff(dataset, estimator)
-    if estimator == "qmle":
-        return fit_qmle(effective, config)
-    y = ESTIMATOR_CUTOFFS[estimator]
-    return _mm_fit(effective, grouped_rankings(effective), estimator, y, config)
+    return _mm_fit(dataset, estimator, None, config)
 
 
 def _initial(config: FitConfig, n: int) -> np.ndarray:

@@ -102,6 +102,8 @@ class BlockModelConfig:
     omega_cross: float = 0.0
 
     def __post_init__(self):
+        if self.m < 2:
+            raise ValueError(f"edge size m={self.m} must be >= 2")
         if any(s <= 0 for s in self.community_sizes):
             raise ValueError("community sizes must be positive")
         if len(self.omega_within) != len(self.community_sizes):

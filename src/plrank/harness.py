@@ -146,8 +146,10 @@ def _design_sampler(design: dict, n: int):
         if kind == "block-typed":
             sizes, m = [int(s) for s in design["community_sizes"]], int(design["m"])
             total, probs = int(design["total"]), [float(p) for p in design["type_probs"]]
-            if len(probs) != len(sizes) + 1:
-                raise ValueError("type_probs needs one entry per community plus cross")
+            if m < 2 or total < 0:
+                raise ValueError(f"needs edge size m >= 2 and total >= 0, got m={m}, total={total}")
+            if len(probs) != len(sizes) + 1 or min(probs) < 0 or not math.isclose(sum(probs), 1):
+                raise ValueError(f"type_probs {probs} needs one entry >= 0 per community plus cross, summing to 1")
             if min(sizes) < m:
                 raise ValueError(f"community_sizes {sizes}: a community has fewer than m={m} items")
             if len(sizes) == 1 and probs[-1] > 0:
@@ -449,12 +451,12 @@ def _aggregate(config: ExperimentConfig, cells: dict) -> list[dict]:
                 "median_linf": float(np.percentile(errors, 50)) if errors.size else None,
                 "q75_linf": float(np.percentile(errors, 75)) if errors.size else None,
                 "best_freq": wins[est] / config.replications,
-                "mean_sigma": _mean_of(done, "sigma_mean"),
-                "coverage": _mean_of(done, "cover_frac"),
-                "community_coverage": _mean_of(done, "community_cover_frac"),
-                "se_time_s": _sum_of(done, "se_time"),
-                "fit_time_s": _sum_of(done, "fit_time"),
-                "mean_iterations": _mean_of(done, "iterations"),
+                "mean_sigma": _over(done, "sigma_mean"),
+                "coverage": _over(done, "cover_frac"),
+                "community_coverage": _over(done, "community_cover_frac"),
+                "se_time_s": _over(done, "se_time", np.sum),
+                "fit_time_s": _over(done, "fit_time", np.sum),
+                "mean_iterations": _over(done, "iterations"),
             }
             rows.append(row)
     return rows
@@ -466,14 +468,9 @@ def _completed(record) -> bool:
     return bool(record.get("exists") and record.get("converged"))
 
 
-def _mean_of(records, field_name):
+def _over(records, field_name, reduce=np.mean):
     vals = [r[field_name] for r in records if field_name in r]
-    return float(np.mean(vals)) if vals else None
-
-
-def _sum_of(records, field_name):
-    vals = [r[field_name] for r in records if field_name in r]
-    return float(np.sum(vals)) if vals else None
+    return float(reduce(vals)) if vals else None
 
 
 def _run_tasks(config: ExperimentConfig, tasks, workers: int | None):

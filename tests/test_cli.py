@@ -173,6 +173,8 @@ _BAD_DESIGNS = [
     {"kind": "explicit", "edges": [[0, 0, 1], [1, 2]], "repeat": 20},
     {"kind": "explicit", "edges": [[0, 1], [3]]},
 ]
+# a valid block-typed design at n = 12, for the cases that spoil one field of it
+_TYPED = {"kind": "block-typed", "m": 3, "community_sizes": [6, 6], "total": 30, "type_probs": [0.5, 0.5, 0.0]}
 _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replications": 1,
                         "design": {"recipe": "heterogeneity"}, "estimators": ["qmle"]}
 
@@ -206,13 +208,21 @@ _SMALL_HETEROGENEITY = {"experiment": "heterogeneity", "n_values": [30], "replic
     ({**_SMALL_HETEROGENEITY, "addition_schedule": [0, 4],
       "design": {"kind": "block-bernoulli", "m": 5, "community_sizes": [3, 27], "omega_within": [0.5, 0.01],
                  "omega_cross": 0.01}}, "track_community 0 (3 items)"),
+    ({**_SMALL_COVERAGE, "design": {**_TYPED, "m": 1}}, "m=1"),
+    ({**_SMALL_COVERAGE, "design": {"kind": "block-bernoulli", "m": 1, "community_sizes": [6, 6],
+                                    "omega_within": [0.5, 0.5], "omega_cross": 0.0}}, "m=1"),
+    ({**_SMALL_COVERAGE, "design": {**_TYPED, "total": -5}}, "total=-5"),
+    ({**_SMALL_COVERAGE, "design": {**_TYPED, "type_probs": [0.7, 0.7, 0.0]}}, "type_probs"),
+    ({**_SMALL_COVERAGE, "design": {**_TYPED, "type_probs": [-0.5, 1.5, 0.0]}}, "type_probs"),
+    ({**_SMALL_COVERAGE, "design": {**_TYPED, "type_probs": [0.2, 0.2, 0.2]}}, "type_probs"),
 ], ids=["unknown-recipe", "no-communities", "community-past-end", "community-negative",
         "negative-addition", "ci-level", "fit-tol", "fit-max-iter", "unknown-design-kind", "missing-counts",
         "omega-within-length", "too-many-distinct", "no-crossing-edge", "community-below-m",
         "unknown-utility-law", "utility-law-length", "edge-item-past-n", "communities-past-n",
         "edge-repeated-item", "edge-one-item",
         "utility-law-not-mapping", "utility-law-low-above-high", "added-edges-without-m",
-        "tracked-community-below-m"])
+        "tracked-community-below-m", "typed-m-below-2", "bernoulli-m-below-2", "typed-negative-total",
+        "type-probs-sum-above-1", "type-probs-negative", "type-probs-sum-below-1"])
 def test_experiment_config_errors_name_the_field(tmp_path, capsys, config, field):
     """Each bad value exits with the configuration-error status before any
     replication runs, and the message names the field."""

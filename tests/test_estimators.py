@@ -34,6 +34,7 @@ from plrank import (
     quasi_log_likelihood,
     quasi_score,
     sample_rankings,
+    sample_uniform_edges,
     spectral_diagnostics,
     standard_errors,
 )
@@ -442,15 +443,16 @@ class TestEstimatorTable:
         y = ESTIMATOR_CUTOFFS[kind]
         effective = ds if y is None else ds.with_cutoff(y)
         fitted = fit(ds, kind)
+        # the other fit entries get the stored dataset and read the table themselves
         if kind == "qmle":
-            reference = fit_qmle(effective)
+            reference = fit_qmle(ds)
             rho2, cost = batch_qmle_inverse_variance(fitted.estimate, effective)
             neg_hessian = -quasi_hessian(np.zeros(ds.n), effective).toarray()
         else:
-            reference = fit_marginal_mle(effective)
+            reference = fit_marginal_mle(ds, y)
             rho2, cost = batch_marginal_inverse_variance(fitted.estimate, effective)
             neg_hessian = -expected_marginal_hessian(np.zeros(ds.n), effective).toarray()
-        assert fitted.estimator == kind
+        assert fitted.estimator == reference.estimator == kind
         assert np.array_equal(fitted.estimate, reference.estimate)
         report = standard_errors(fitted, ds)
         assert np.array_equal(report.sigma, 1.0 / np.sqrt(rho2))
@@ -466,7 +468,9 @@ class TestEstimatorTable:
     @pytest.fixture
     def stored_cutoffs(self, small_dataset):
         _, ds = small_dataset
-        return Dataset(ds.n, [o.with_cutoff(2 + i % 3) for i, o in enumerate(ds.observations)])
+        ds = Dataset(ds.n, [o.with_cutoff(2 + i % 3) for i, o in enumerate(ds.observations)])
+        assert any(o.cutoff < o.m for o in ds.observations)
+        return ds
 
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_kind_uses_table_cutoff(self, stored_cutoffs, kind):
@@ -478,3 +482,26 @@ class TestEstimatorTable:
         # the QMLE's expected Hessian (Bradley-Terry weights on every pair of
         # an edge) is defined for full rankings only
         self._check_kind(stored_cutoffs, kind, spectral=kind != "qmle")
+
+    @pytest.mark.parametrize("entry, kind", [
+        (fit_qmle, "qmle"),
+        (lambda ds: fit_marginal_mle(ds, "full"), "full"),
+        (lambda ds: fit_marginal_mle(ds, 1), "choice1"),
+        (lambda ds: fit_marginal_mle(ds, 2), "choice2"),
+    ], ids=["qmle", "full", "choice1", "choice2"])
+    @pytest.mark.parametrize("seed, n, m, races, cutoff", [(0, 20, 5, 400, 2), (3, 30, 4, 120, 1)], ids=["top2", "top1"])
+    def test_every_fit_entry_agrees_with_fit_on_truncated_data(self, entry, kind, seed, n, m, races, cutoff):
+        rng = np.random.default_rng(seed)
+        u = center(rng.normal(size=n))
+        ds = sample_rankings(u, sample_uniform_edges(range(n), m, races, rng), rng, cutoff=cutoff)
+        try:
+            want = fit(ds, kind)
+        except NonexistenceError as err:  # choice1 and choice2 on the top-1 data
+            with pytest.raises(NonexistenceError) as again:
+                entry(ds)
+            assert again.value.partition == err.partition
+            return
+        got = entry(ds)
+        assert got.estimator == want.estimator == kind and got.y_override == want.y_override
+        assert np.array_equal(got.estimate, want.estimate)
+        assert (got.iterations, got.final_log_lik) == (want.iterations, want.final_log_lik)

@@ -223,6 +223,10 @@ class TestEdgeSampler:
 
 
 class TestBlockModel:
+    def test_edge_size_below_two_rejected(self):
+        with pytest.raises(ValueError, match="m=1"):
+            BlockModelConfig(m=1, community_sizes=(6, 6), omega_within=(0.5, 0.5), omega_cross=0.0)
+
     def test_cross_probability_zero(self):
         rng = np.random.default_rng(6)
         cfg = BlockModelConfig(m=3, community_sizes=(6, 6), omega_within=(0.5, 0.5), omega_cross=0.0)
